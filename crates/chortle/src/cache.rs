@@ -5,15 +5,13 @@
 //! identities — so two trees with the same [`CacheKey`] share their
 //! entire [`ShapeSolution`]. Real forests repeat shapes constantly
 //! (chains, balanced pairs, the halves produced by wide-node splitting),
-//! and this module lets the mapper pay for each shape once:
+//! and this module lets the mapper pay for each shape once.
 //!
-//! * [`TreeCache`] — a plain, unsynchronized map for the sequential
-//!   mapper and for per-worker private caching ([`CacheMode::Tree`]).
-//! * [`SharedCache`] — an N-way sharded map behind [`std::sync::Mutex`]
-//!   shards, shared by every wavefront worker ([`CacheMode::Shared`]);
-//!   hash-partitioning keeps workers from serializing on one lock. The
-//!   single-threaded path never constructs it (it uses the unsharded
-//!   [`TreeCache`] fast path instead).
+//! There is one store: [`SharedCache`], an N-way sharded map behind
+//! [`std::sync::Mutex`] shards, shared by every chunk of a run (or by
+//! every run attached to a [`WarmCache`]); hash-partitioning keeps
+//! workers from serializing on one lock. The functional tier of
+//! [`CacheMode::Fn`] is the same store over [`FnKey`]s.
 //!
 //! Insertion is first-writer-wins: two workers racing on the same key
 //! have computed bit-identical solutions (the DP is deterministic), so
@@ -38,11 +36,12 @@ pub enum CacheMode {
     /// No memoization: every tree runs the full subset DP (the pre-cache
     /// behavior).
     Off,
-    /// Each mapping thread keeps a private cache; nothing is shared
-    /// across workers.
+    /// An alias of [`CacheMode::Shared`], kept because the v1 wire
+    /// format and existing callers name it: it behaves exactly like
+    /// `Shared`, warm cache included.
     Tree,
-    /// One sharded cache shared across the whole parallel wavefront (the
-    /// default): a shape mapped by any worker is a hit for all of them.
+    /// One sharded cache shared across the whole run (the default): a
+    /// shape mapped by any worker is a hit for all of them.
     #[default]
     Shared,
     /// [`CacheMode::Shared`] plus a *functional* tier in front of it:
@@ -55,15 +54,35 @@ pub enum CacheMode {
 }
 
 impl CacheMode {
-    /// Whether this mode caches at all.
-    pub(crate) fn is_enabled(self) -> bool {
-        !matches!(self, CacheMode::Off)
+    /// The modes in the order their names are listed to users.
+    const ALL: [CacheMode; 4] = [
+        CacheMode::Off,
+        CacheMode::Tree,
+        CacheMode::Shared,
+        CacheMode::Fn,
+    ];
+
+    /// The mode's name on the command line and on the wire: `off`,
+    /// `tree`, `shared` or `fn`.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            CacheMode::Off => "off",
+            CacheMode::Tree => "tree",
+            CacheMode::Shared => "shared",
+            CacheMode::Fn => "fn",
+        }
     }
 
-    /// Whether this mode uses the wavefront/process-shared structural
-    /// store (as opposed to per-run or per-worker private stores).
-    pub(crate) fn uses_shared(self) -> bool {
-        matches!(self, CacheMode::Shared | CacheMode::Fn)
+    /// Parses a name produced by [`CacheMode::as_str`]; `None` for any
+    /// other string (callers word their own error).
+    pub fn parse(name: &str) -> Option<CacheMode> {
+        CacheMode::ALL.into_iter().find(|m| m.as_str() == name)
+    }
+
+    /// Whether this mode caches at all (every mode but `Off` uses the
+    /// sharded structural store).
+    pub(crate) fn is_enabled(self) -> bool {
+        !matches!(self, CacheMode::Off)
     }
 
     /// Whether this mode adds the functional (NPN) tier.
@@ -162,35 +181,6 @@ impl ShardKey for FnKey {
     }
 }
 
-/// An unsynchronized solution store: the sequential fast path and the
-/// per-worker store of [`CacheMode::Tree`].
-#[derive(Default)]
-pub(crate) struct TreeStore<K> {
-    map: HashMap<K, Arc<ShapeSolution>>,
-}
-
-/// The structural [`TreeStore`].
-pub(crate) type TreeCache = TreeStore<CacheKey>;
-
-/// The functional-tier [`TreeStore`].
-pub(crate) type FnTreeCache = TreeStore<FnKey>;
-
-impl<K: std::hash::Hash + Eq> TreeStore<K> {
-    pub(crate) fn new() -> Self {
-        TreeStore {
-            map: HashMap::new(),
-        }
-    }
-
-    pub(crate) fn get(&self, key: &K) -> Option<Arc<ShapeSolution>> {
-        self.map.get(key).cloned()
-    }
-
-    pub(crate) fn insert(&mut self, key: K, sol: Arc<ShapeSolution>) {
-        self.map.entry(key).or_insert(sol);
-    }
-}
-
 /// Shard count of [`SharedStore`]. Sixteen shards keep lock contention
 /// negligible for any plausible worker count while the per-shard maps
 /// stay dense; reported as the `cache.shards` telemetry counter.
@@ -205,7 +195,7 @@ pub(crate) struct SharedStore<K> {
     misses: AtomicU64,
 }
 
-/// The structural shared store ([`CacheMode::Shared`] and up).
+/// The structural store (every caching mode).
 pub(crate) type SharedCache = SharedStore<CacheKey>;
 
 /// The functional-tier shared store ([`CacheMode::Fn`]).
@@ -290,11 +280,10 @@ impl<K: ShardKey> SharedStore<K> {
 /// canonicalization, so an identical canonical shape is an identical DP
 /// problem regardless of how it was produced.
 ///
-/// Runs only consult the handle under [`CacheMode::Shared`] — the other
-/// modes keep their per-run/per-worker semantics unchanged — and every
-/// mode still produces the bit-identical circuit (replays are verbatim
-/// and first-writer-wins keeps racing duplicates harmless, exactly as
-/// within one run).
+/// Every caching mode consults the handle (only [`CacheMode::Off`]
+/// ignores it), and every mode still produces the bit-identical circuit
+/// (replays are verbatim and first-writer-wins keeps racing duplicates
+/// harmless, exactly as within one run).
 ///
 /// Clones share the underlying store. [`WarmCache::flush`] empties every
 /// segment and bumps a monotonically increasing *generation*, which
@@ -498,17 +487,27 @@ mod tests {
         let a = dummy_solution(&tree, 4);
         let b = dummy_solution(&tree, 4);
 
-        let mut private = TreeCache::new();
-        private.insert(key, a.clone());
-        private.insert(key, b.clone());
-        assert!(Arc::ptr_eq(&private.get(&key).unwrap(), &a));
-
         let shared = SharedCache::new();
         let kept = shared.insert(key, a.clone());
         assert!(Arc::ptr_eq(&kept, &a));
-        let kept = shared.insert(key, b);
+        let kept = shared.insert(key, b.clone());
         assert!(Arc::ptr_eq(&kept, &a), "first writer must win");
         assert!(Arc::ptr_eq(&shared.get(&key).unwrap(), &a));
+
+        let fn_key = fn_key_of(&tree, key.depths);
+        let functional = SharedFnCache::new();
+        functional.insert(fn_key, a.clone());
+        let kept = functional.insert(fn_key, b);
+        assert!(Arc::ptr_eq(&kept, &a), "first writer must win");
+    }
+
+    #[test]
+    fn mode_names_round_trip() {
+        for mode in CacheMode::ALL {
+            assert_eq!(CacheMode::parse(mode.as_str()), Some(mode));
+        }
+        assert_eq!(CacheMode::parse("ram"), None);
+        assert_eq!(CacheMode::parse("Shared"), None);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Top-level mapping API: network in, LUT circuit out.
+//!
+//! [`map_network`] normalizes the network, builds and canonicalizes the
+//! fanout-free forest, maps it through the one forest driver
+//! ([`crate::parallel`], wavefront by wavefront for any `jobs`), and
+//! emits the LUT circuit.
 
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 use std::collections::{HashMap, HashSet};
 
@@ -12,13 +16,10 @@ use chortle_netlist::{
 };
 use chortle_telemetry::{Histogram, Telemetry, TraceScope};
 
-use crate::cache::{
-    CacheKey, CacheMode, FnKey, FnTreeCache, SharedCache, SharedFnCache, TreeCache, WarmCache,
-    SHARED_CACHE_SHARDS,
-};
+use crate::cache::{CacheKey, CacheMode, FnKey, WarmCache, SHARED_CACHE_SHARDS};
 use crate::cancel::CancelToken;
 use crate::cover::emit_forest;
-use crate::dp::{map_tree_solution, DpCounters, DpScratch, Objective, ShapeSolution};
+use crate::dp::{DpCounters, Objective, ShapeSolution};
 use crate::pack::PackMode;
 use crate::sched::ChunkPolicy;
 use crate::tree::{Fingerprint, FingerprintScratch, Forest, Tree};
@@ -38,8 +39,8 @@ pub mod stats {
     /// [`crate::Tree::canonicalize`]); runs in every cache mode so the
     /// produced circuit never depends on the cache setting.
     pub const STAGE_CANON: &str = "map.canon";
-    /// Stage: the subset-DP mapping of every tree (sequential or
-    /// wavefront-parallel).
+    /// Stage: the subset-DP mapping of every tree (wavefront by
+    /// wavefront, on up to `jobs` executors).
     pub const STAGE_DP: &str = "map.dp";
     /// Stage: functional-tier key material — packed truth tables and
     /// their NPN canonical forms (memoized per distinct table) plus
@@ -84,10 +85,9 @@ pub mod stats {
     /// Counter: distinct cache keys in the forest — the trees that pay
     /// for a full subset-DP run. `hits + misses == map.trees`.
     pub const CACHE_MISSES: &str = "cache.misses";
-    /// Counter: shards of the DP-result cache. A configuration echo (16
-    /// for the shared cache under parallel mapping, 1 otherwise) —
-    /// excluded, like the `sched.*` family, from the
-    /// any-`jobs`-identical contract.
+    /// Counter: shards of the DP-result cache — a configuration echo,
+    /// 16 whenever caching is on (every caching mode uses the one
+    /// sharded store), so identical for every `jobs` value.
     pub const CACHE_SHARDS: &str = "cache.shards";
     /// Counter: LUTs emitted from replayed (cache-hit) solutions.
     pub const CACHE_REPLAYED_LUTS: &str = "cache.replayed_luts";
@@ -107,8 +107,8 @@ pub mod stats {
     pub const CACHE_FN_REPLAYED_LUTS: &str = "cache.fn_replayed_luts";
     /// Trace span: one tree's DP mapping (`Tree` scope, index = tree
     /// order; begin arg = tree node count, end arg = the tree's LUT
-    /// cost). Emitted by both drivers with identical sequences — only
-    /// the worker id and timestamps differ between `jobs` settings.
+    /// cost). Emitted in identical sequences for every `jobs` — only the
+    /// worker id and timestamps differ between `jobs` settings.
     pub const TRACE_TREE: &str = "map.tree";
     /// Trace instant: the tree is the *first* occurrence of its cache
     /// key in tree order — it pays for a full subset-DP solve (arg =
@@ -126,16 +126,15 @@ pub mod stats {
     /// Counter: chunks submitted to the work-stealing pool (inline
     /// wavefronts contribute none). Deterministic given the options and
     /// the host, but — like every `sched.*` counter — a *schedule*
-    /// echo, excluded from the any-`jobs`-identical counter contract
-    /// (the parallel driver emits the family, the sequential driver
-    /// does not).
+    /// echo, excluded from the any-`jobs`-identical counter contract.
     pub const SCHED_CHUNKS: &str = "sched.chunks";
     /// Counter: chunks taken from a deque other than their owner's —
     /// the work-stealing traffic. Nondeterministic by nature; see
     /// [`SCHED_CHUNKS`] for the exclusion.
     pub const SCHED_STEALS: &str = "sched.steals";
-    /// Counter: wavefronts that fell through to the inline sequential
-    /// path (too little estimated work, or a single chunk or executor).
+    /// Counter: wavefronts that fell through to the inline path on the
+    /// calling thread (too little estimated work, or a single chunk or
+    /// executor — every wavefront at `jobs = 1`).
     /// See [`SCHED_CHUNKS`] for the exclusion.
     pub const SCHED_INLINE_WAVES: &str = "sched.inline_waves";
     /// Counter: wavefronts executed on the process-wide chunk pool.
@@ -227,11 +226,11 @@ pub struct MapOptions {
     /// What to minimize: LUT count (the paper's objective, with a depth
     /// tie-break) or LUT depth (with an area tie-break).
     pub objective: Objective,
-    /// Worker threads for mapping the forest (1 = sequential). Trees are
-    /// scheduled in dependency wavefronts on the process-wide chunk
-    /// pool; any value produces a circuit identical to the sequential
-    /// one. The builder resolves 0 to the host's available parallelism,
-    /// capped — see [`resolve_jobs`].
+    /// Executors a forest wavefront may recruit (1 = the calling thread
+    /// only, never the pool). Trees are scheduled in dependency
+    /// wavefronts on the process-wide chunk pool; every value produces
+    /// the identical circuit. The builder resolves 0 to the host's
+    /// available parallelism, capped — see [`resolve_jobs`].
     pub jobs: usize,
     /// How the wavefront scheduler groups trees into chunks
     /// ([`ChunkPolicy::Auto`] by default). Every policy produces the
@@ -246,15 +245,15 @@ pub struct MapOptions {
     /// default). Every mode produces the identical circuit — see the
     /// bit-identity contract on [`CacheMode`].
     pub cache: CacheMode,
-    /// Cooperative cancellation, polled at tree boundaries by both
-    /// mapping drivers. The default token is inert; a fired token makes
+    /// Cooperative cancellation, polled at every tree boundary. The
+    /// default token is inert; a fired token makes
     /// [`map_network`] return [`MapError::Cancelled`] with all partial
     /// work discarded.
     pub cancel: CancelToken,
     /// A process-lifetime [`WarmCache`] consulted (and populated) under
-    /// [`CacheMode::Shared`] and [`CacheMode::Fn`], so repeated runs
-    /// over recurring shapes skip the subset DP entirely. `None` (the
-    /// default) keeps caches scoped to a single run.
+    /// every caching mode, so repeated runs over recurring shapes skip
+    /// the subset DP entirely. `None` (the default) keeps caches scoped
+    /// to a single run.
     pub warm_cache: Option<WarmCache>,
     /// The opt-in don't-care packing post-pass ([`PackMode::Off`] by
     /// default). [`PackMode::Dc`] shrinks and merges emitted LUTs using
@@ -328,8 +327,8 @@ impl MapOptionsBuilder {
         self
     }
 
-    /// Sets the worker-thread count (0 = host parallelism, 1 =
-    /// sequential).
+    /// Sets the worker-thread count (0 = host parallelism, 1 = the
+    /// calling thread only).
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.opts.jobs = resolve_jobs(jobs);
         self
@@ -373,8 +372,7 @@ impl MapOptionsBuilder {
     }
 
     /// Attaches a process-lifetime warm cache; see
-    /// [`MapOptions::warm_cache`]. Only consulted under
-    /// [`CacheMode::Shared`] and [`CacheMode::Fn`].
+    /// [`MapOptions::warm_cache`]. Ignored under [`CacheMode::Off`].
     pub fn warm_cache(mut self, warm: WarmCache) -> Self {
         self.opts.warm_cache = Some(warm);
         self
@@ -568,12 +566,9 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
         return Err(MapError::Cancelled);
     }
     let telemetry = &options.telemetry;
-    // Arc-wrapped so the wavefront driver can share it with the
-    // process-wide chunk pool without copying; the sequential driver
-    // borrows straight through.
     let normal = {
         let _s = telemetry.span(stats::STAGE_NORMALIZE);
-        Arc::new(network.simplified())
+        network.simplified()
     };
     let mut forest = {
         let _s = telemetry.span(stats::STAGE_FOREST);
@@ -614,17 +609,7 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     };
     let mapped = {
         let _s = telemetry.span(stats::STAGE_DP);
-        if options.jobs > 1 {
-            crate::parallel::map_forest_wavefront(
-                &normal,
-                forest.trees,
-                &shapes,
-                &fn_metas,
-                options,
-            )?
-        } else {
-            map_forest_sequential(&normal, forest.trees, &shapes, &fn_metas, options)?
-        }
+        crate::parallel::map_forest_wavefront(&normal, forest.trees, &shapes, &fn_metas, options)?
     };
     // Kernel tallies are summed here, once per tree in tree order —
     // cached replays contribute the tally of the shape they share, and a
@@ -749,8 +734,8 @@ pub(crate) struct MappedTree {
 /// sequence, in tree order: a tree is a *hit* when an earlier tree has
 /// the same key. Deliberately not counted at the cache data structure —
 /// which worker wins a racy insert is schedule-dependent, while this
-/// definition is a pure function of the forest. `cache.shards` is the
-/// one configuration echo outside that contract.
+/// definition is a pure function of the forest. `cache.shards` echoes
+/// the store's configuration.
 fn report_cache_counters(telemetry: &Telemetry, options: &MapOptions, mapped: &[MappedTree]) {
     if !telemetry.is_enabled() || !options.cache.is_enabled() {
         return;
@@ -790,18 +775,12 @@ fn report_cache_counters(telemetry: &Telemetry, options: &MapOptions, mapped: &[
         // visible per request instead of only in aggregate.
         use chortle_telemetry::log::{self, FieldValue, Level};
         if log::enabled(Level::Debug) {
-            let mode = match options.cache {
-                CacheMode::Off => "off",
-                CacheMode::Tree => "tree",
-                CacheMode::Shared => "shared",
-                CacheMode::Fn => "fn",
-            };
             log::event(
                 Level::Debug,
                 "map.cache",
                 "cache tier attribution",
                 &[
-                    ("mode", FieldValue::Str(mode)),
+                    ("mode", FieldValue::Str(options.cache.as_str())),
                     ("hits", FieldValue::U64(hits)),
                     ("misses", FieldValue::U64(misses)),
                     ("fn_hits", FieldValue::U64(fn_hits)),
@@ -819,12 +798,7 @@ fn report_cache_counters(telemetry: &Telemetry, options: &MapOptions, mapped: &[
         telemetry.add_counter(stats::CACHE_FN_MISSES, fn_misses);
         telemetry.add_counter(stats::CACHE_FN_REPLAYED_LUTS, fn_replayed);
     }
-    let shards = if options.cache.uses_shared() && options.jobs > 1 {
-        SHARED_CACHE_SHARDS
-    } else {
-        1
-    };
-    telemetry.add_counter(stats::CACHE_SHARDS, shards as u64);
+    telemetry.add_counter(stats::CACHE_SHARDS, SHARED_CACHE_SHARDS as u64);
 }
 
 /// Records the deterministic per-tree work histogram
@@ -888,190 +862,13 @@ fn trace_classification(
 /// Arrival depth of a tree leaf: primary inputs and constants arrive at
 /// 0; gate leaves are other trees' roots and arrive at their mapped
 /// depth, which must already be recorded in `depth_of`.
-pub(crate) fn leaf_arrival(normal: &Network, depth_of: &HashMap<NodeId, u32>, id: NodeId) -> u32 {
+fn leaf_arrival(normal: &Network, depth_of: &HashMap<NodeId, u32>, id: NodeId) -> u32 {
     match normal.node(id).op() {
         NodeOp::Input | NodeOp::Const(_) => 0,
         NodeOp::And | NodeOp::Or => *depth_of
             .get(&id)
             .expect("tree leaves are mapped before the tree that reads them"),
     }
-}
-
-/// Selects the warm-cache structural segment for a run, when one
-/// applies: the options carry a [`WarmCache`] handle *and* the mode
-/// shares across runs ([`CacheMode::Shared`] or [`CacheMode::Fn`]; the
-/// other modes keep their run-scoped semantics).
-pub(crate) fn warm_segment(options: &MapOptions) -> Option<Arc<SharedCache>> {
-    if !options.cache.uses_shared() {
-        return None;
-    }
-    options
-        .warm_cache
-        .as_ref()
-        .map(|w| w.segment(options.k, options.objective))
-}
-
-/// Selects the warm-cache *functional* segment for a run: only under
-/// [`CacheMode::Fn`] with a [`WarmCache`] attached.
-pub(crate) fn warm_fn_segment(options: &MapOptions) -> Option<Arc<SharedFnCache>> {
-    if !options.cache.uses_fn() {
-        return None;
-    }
-    options
-        .warm_cache
-        .as_ref()
-        .map(|w| w.fn_segment(options.k, options.objective))
-}
-
-/// Maps every tree of the forest in order on the calling thread, one
-/// [`DpScratch`] arena reused throughout. The forest is topologically
-/// ordered, so leaves of a tree are always mapped first. Caching modes
-/// use one unsharded, unsynchronized [`TreeCache`] — the single-threaded
-/// fast path ([`CacheMode::Tree`] and [`CacheMode::Shared`] coincide
-/// here) — unless a warm cross-run segment is attached, which wins so
-/// repeated runs share solutions. Under [`CacheMode::Fn`] a functional
-/// store (warm segment or run-private) is consulted *before* the
-/// structural one; a structural hit back-fills the functional store so
-/// later N/P/N variants hit. Cancellation is polled per tree.
-fn map_forest_sequential(
-    normal: &Network,
-    trees: Vec<Tree>,
-    shapes: &[Fingerprint],
-    fn_metas: &[Option<FnMeta>],
-    options: &MapOptions,
-) -> Result<Vec<MappedTree>, MapError> {
-    let telemetry = &options.telemetry;
-    let enabled = telemetry.is_enabled();
-    let mut mapped: Vec<MappedTree> = Vec::with_capacity(trees.len());
-    let mut scratch = DpScratch::new();
-    scratch.counting = enabled;
-    let warm = warm_segment(options);
-    let mut cache = (options.cache.is_enabled() && warm.is_none()).then(TreeCache::new);
-    let warm_fn = warm_fn_segment(options);
-    let mut fn_cache = (options.cache.uses_fn() && warm_fn.is_none()).then(FnTreeCache::new);
-    let mut depth_of: HashMap<NodeId, u32> = HashMap::new();
-    let mut buf = telemetry.trace_buffer(0);
-    let mut tree_ns = Histogram::new();
-    for (ti, tree) in trees.into_iter().enumerate() {
-        if options.cancel.is_cancelled() {
-            // A fired token stops *between* trees, so no tree span is
-            // open: the trace flushes with every begin already closed.
-            telemetry.trace_flush(&mut buf);
-            return Err(MapError::Cancelled);
-        }
-        let t0 = enabled.then(Instant::now);
-        if buf.is_enabled() {
-            buf.begin(
-                TraceScope::Tree,
-                ti as u64,
-                stats::TRACE_TREE,
-                tree.nodes.len() as u64,
-            );
-        }
-        let leaf_depth = |id: NodeId| leaf_arrival(normal, &depth_of, id);
-        let key = options
-            .cache
-            .is_enabled()
-            .then(|| CacheKey::of(&tree, shapes[ti], &leaf_depth));
-        let fn_key = match (fn_metas.get(ti).and_then(Option::as_ref), &key) {
-            (Some(meta), Some(k)) => Some(meta.key(k)),
-            _ => None,
-        };
-        // Functional tier first, then structural, then solve.
-        let cached_fn = fn_key.and_then(|fk| match (&warm_fn, &fn_cache) {
-            (Some(w), _) => w.get(&fk),
-            (None, Some(c)) => c.get(&fk),
-            _ => None,
-        });
-        let via_fn = cached_fn.is_some();
-        let cached = cached_fn.or_else(|| {
-            key.and_then(|k| match (&warm, &cache) {
-                (Some(w), _) => w.get(&k),
-                (None, Some(c)) => c.get(&k),
-                _ => None,
-            })
-        });
-        let sol = match cached {
-            Some(sol) => {
-                // A structural hit back-fills the functional tier (a
-                // functional hit implies the key is already present).
-                if !via_fn {
-                    if let Some(fk) = fn_key {
-                        match (&warm_fn, &mut fn_cache) {
-                            (Some(w), _) => {
-                                w.insert(fk, sol.clone());
-                            }
-                            (None, Some(c)) => c.insert(fk, sol.clone()),
-                            _ => {}
-                        }
-                    }
-                }
-                sol
-            }
-            None => {
-                let sol = match map_tree_solution(
-                    &tree,
-                    options.k,
-                    options.objective,
-                    &leaf_depth,
-                    &mut scratch,
-                ) {
-                    Ok(sol) => Arc::new(sol),
-                    Err(e) => {
-                        // The tree span is open: close it explicitly so
-                        // every begin stays matched even on the error
-                        // path.
-                        buf.cancelled(TraceScope::Tree, ti as u64, stats::TRACE_TREE, 0);
-                        telemetry.trace_flush(&mut buf);
-                        return Err(e);
-                    }
-                };
-                let sol = match (&warm, &mut cache) {
-                    // First writer wins; adopt whatever landed so a
-                    // concurrent run's duplicate shares one allocation.
-                    (Some(w), _) => w.insert(key.expect("caching modes key every tree"), sol),
-                    (None, Some(c)) => {
-                        c.insert(key.expect("caching modes key every tree"), sol.clone());
-                        sol
-                    }
-                    _ => sol,
-                };
-                if let Some(fk) = fn_key {
-                    match (&warm_fn, &mut fn_cache) {
-                        (Some(w), _) => {
-                            w.insert(fk, sol.clone());
-                        }
-                        (None, Some(c)) => c.insert(fk, sol.clone()),
-                        _ => {}
-                    }
-                }
-                sol
-            }
-        };
-        if buf.is_enabled() {
-            buf.end(
-                TraceScope::Tree,
-                ti as u64,
-                stats::TRACE_TREE,
-                u64::from(sol.dp.tree_cost(&tree)),
-            );
-        }
-        if let Some(t0) = t0 {
-            tree_ns.record_duration(t0.elapsed());
-        }
-        depth_of.insert(tree.root, sol.dp.tree_depth(&tree));
-        mapped.push(MappedTree {
-            tree,
-            sol,
-            key,
-            fn_key,
-        });
-    }
-    telemetry.trace_flush(&mut buf);
-    if !tree_ns.is_empty() {
-        telemetry.merge_histogram(stats::HIST_TREE_NS, &tree_ns);
-    }
-    Ok(mapped)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Parallel wavefront mapping of the forest.
+//! Wavefront mapping of the forest — the mapper's only forest driver.
 //!
 //! Trees in a forest depend on each other only through leaf depths: a
 //! tree whose leaf is another tree's root cannot be mapped (under the
@@ -14,21 +14,21 @@
 //! a static DP-work estimate, distributed over the process-wide pool's
 //! per-worker deques (idle workers steal from the tail), and helped
 //! along by the submitting thread — or, when the wavefront is too small
-//! to pay for a hand-off, mapped inline with no synchronization at all.
+//! to pay for a hand-off or `jobs = 1`, mapped inline on the calling
+//! thread with no pool traffic at all.
 //!
 //! Results land in a slot-per-tree vector and root depths are published
-//! between wavefronts in tree order, so the outcome is bit-identical to
-//! the sequential mapper for any worker count and any chunk policy: the
-//! per-tree DP is deterministic given leaf depths, and leaf depths never
-//! depend on intra-wavefront completion order.
+//! between wavefronts in tree order, so the outcome is bit-identical for
+//! any worker count and any chunk policy: the per-tree DP is
+//! deterministic given leaf depths, and leaf depths never depend on
+//! intra-wavefront completion order.
 //!
-//! Under [`CacheMode::Shared`] every chunk consults one sharded
-//! [`SharedCache`](crate::cache::SharedCache) spanning the whole run;
-//! under [`CacheMode::Tree`] each chunk keeps a private
-//! [`TreeCache`](crate::cache::TreeCache). Either way a hit replays the
-//! shape's solution verbatim (trees are canonicalized before mapping),
-//! and a lost insert race merely discards a duplicate of an identical
-//! solution — so caching never perturbs the bit-identity guarantee.
+//! Under every caching mode each chunk consults one sharded
+//! [`SharedCache`] spanning the whole run (or the attached warm cache's
+//! segment). A hit replays the shape's solution verbatim (trees are
+//! canonicalized before mapping), and a lost insert race merely discards
+//! a duplicate of an identical solution — so caching never perturbs the
+//! bit-identity guarantee.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -38,17 +38,17 @@ use std::time::Instant;
 use chortle_netlist::{Network, NodeId};
 use chortle_telemetry::WavefrontStat;
 
-use crate::cache::{CacheMode, SharedCache, SharedFnCache};
+use crate::cache::{SharedCache, SharedFnCache};
 use crate::dp::DpScratch;
 use crate::map::{stats, FnMeta, MapError, MapOptions, MappedTree};
-use crate::sched::{self, Latch, Pool, TreeResult, WaveCache, WaveCtx};
+use crate::sched::{self, Latch, Pool, TreeResult, WaveCtx};
 use crate::tree::{Fingerprint, Tree, TreeChild};
 
-/// Maps the forest wavefront by wavefront on the process-wide chunk
-/// pool (up to `options.jobs` executors per wavefront). Produces
-/// exactly the [`MappedTree`] sequence of the sequential mapper.
+/// Maps the forest wavefront by wavefront, recruiting up to
+/// `options.jobs` executors per wavefront from the process-wide chunk
+/// pool. Produces the same [`MappedTree`] sequence for every `jobs`.
 pub(crate) fn map_forest_wavefront(
-    normal: &Arc<Network>,
+    normal: &Network,
     trees: Vec<Tree>,
     shapes: &Arc<Vec<Fingerprint>>,
     fn_metas: &Arc<Vec<Option<FnMeta>>>,
@@ -82,29 +82,49 @@ pub(crate) fn map_forest_wavefront(
         waves[lv as usize].push(i);
     }
 
+    // Executors a wavefront can occupy: the requested jobs, bounded by
+    // the pool plus this thread. An explicit `--jobs N` is honored even
+    // on a small host (the fall-through below still protects small
+    // wavefronts); only `--jobs 0` auto-sizing caps at the host. A
+    // single executor never touches the pool, so it is never spawned.
+    let fanout = match options.jobs {
+        0 | 1 => 1,
+        jobs => jobs.min(Pool::global().size() + 1),
+    };
     // Static per-tree work estimates drive chunk sizing and the inline
-    // fall-through; computed once for the whole forest.
-    let est: Vec<u64> = trees
-        .iter()
-        .map(|t| sched::estimate_tree_work(t, options.k))
-        .collect();
+    // fall-through; computed once for the whole forest, and only when a
+    // wavefront could be pooled at all.
+    let est: Vec<u64> = if fanout >= 2 {
+        trees
+            .iter()
+            .map(|t| sched::estimate_tree_work(t, options.k))
+            .collect()
+    } else {
+        Vec::new()
+    };
     let trees = Arc::new(trees);
 
     let mut sols: Vec<Option<TreeResult>> = (0..trees.len()).map(|_| None).collect();
     // Leaf arrival depths, indexed by NodeId: primary inputs and
     // constants stay 0, mapped roots are published between wavefronts
     // in tree order. Same values `crate::map::leaf_arrival` derives for
-    // the sequential driver, so cache keys agree across drivers.
+    // the trace classification, so the two agree on every cache key.
     let mut arrivals: Arc<Vec<u32>> = Arc::new(vec![0u32; normal.len()]);
-    let shared = options
-        .cache
-        .uses_shared()
-        .then(|| crate::map::warm_segment(options).unwrap_or_else(|| Arc::new(SharedCache::new())));
-    // The functional tier is always run-shared under `CacheMode::Fn`
-    // (the mode implies shared semantics): one sharded store spanning
-    // every chunk, warm-backed when a handle is attached.
+    // One sharded store per tier spanning every chunk of the run, or
+    // the warm cache's segment for these options when a handle is
+    // attached.
+    let warm = options.warm_cache.as_ref();
+    let shared = options.cache.is_enabled().then(|| {
+        warm.map_or_else(
+            || Arc::new(SharedCache::new()),
+            |w| w.segment(options.k, options.objective),
+        )
+    });
     let shared_fn = options.cache.uses_fn().then(|| {
-        crate::map::warm_fn_segment(options).unwrap_or_else(|| Arc::new(SharedFnCache::new()))
+        warm.map_or_else(
+            || Arc::new(SharedFnCache::new()),
+            |w| w.fn_segment(options.k, options.objective),
+        )
     });
     // Scratch for chunks run on this thread (inline wavefronts and
     // helping); pool workers keep their own thread-persistent arenas.
@@ -112,22 +132,20 @@ pub(crate) fn map_forest_wavefront(
 
     let telemetry = &options.telemetry;
     let enabled = telemetry.is_enabled();
-    // Executors a wavefront can occupy: the requested jobs, bounded by
-    // the pool plus this thread. An explicit `--jobs N` is honored even
-    // on a small host (the fall-through below still protects small
-    // wavefronts); only `--jobs 0` auto-sizing caps at the host.
-    let fanout = options.jobs.min(Pool::global().size() + 1);
     let (mut chunks_built, mut steals, mut inline_waves, mut pooled_waves) =
         (0u64, 0u64, 0u64, 0u64);
     for (wi, wave) in waves.iter().enumerate() {
         // Timing is gated on the sink being enabled: the disabled path
         // never touches the clock.
         let wave_start = enabled.then(Instant::now);
-        let chunks = sched::build_chunks(wave, &est, options.chunk);
-        let total_work: u64 = wave.iter().map(|&ti| est[ti]).sum();
-        let pooled = fanout >= 2 && chunks.len() >= 2 && total_work >= sched::MIN_POOLED_WAVE_WORK;
+        let chunks = if fanout >= 2 {
+            sched::build_chunks(wave, &est, options.chunk)
+        } else {
+            Vec::new()
+        };
+        let pooled = chunks.len() >= 2
+            && wave.iter().map(|&ti| est[ti]).sum::<u64>() >= sched::MIN_POOLED_WAVE_WORK;
         let ctx = Arc::new(WaveCtx {
-            normal: Arc::clone(normal),
             trees: Arc::clone(&trees),
             shapes: Arc::clone(shapes),
             arrivals: Arc::clone(&arrivals),
@@ -135,12 +153,7 @@ pub(crate) fn map_forest_wavefront(
             wave_index: wi,
             k: options.k,
             objective: options.objective,
-            keyed: options.cache.is_enabled(),
-            cache: match (&shared, options.cache) {
-                (Some(s), _) => WaveCache::Shared(Arc::clone(s)),
-                (None, CacheMode::Tree) => WaveCache::PerChunk,
-                (None, _) => WaveCache::Off,
-            },
+            cache: shared.as_ref().map(Arc::clone),
             fn_metas: Arc::clone(fn_metas),
             fn_cache: shared_fn.as_ref().map(Arc::clone),
             cancel: options.cancel.clone(),
@@ -210,8 +223,8 @@ pub(crate) fn map_forest_wavefront(
         }
     }
     if enabled {
-        // Schedule echoes, like `cache.shards`: excluded from the
-        // any-`jobs`-identical counter contract (see `stats`).
+        // Schedule echoes: excluded from the any-`jobs`-identical
+        // counter contract (see `stats`).
         telemetry.add_counter(stats::SCHED_CHUNKS, chunks_built);
         telemetry.add_counter(stats::SCHED_STEALS, steals);
         telemetry.add_counter(stats::SCHED_INLINE_WAVES, inline_waves);

@@ -34,16 +34,17 @@
 //!    work would not amortize a hand-off (fewer than two chunks, fewer
 //!    than two effective executors, or less than
 //!    [`MIN_POOLED_WAVE_WORK`] units overall) runs as a single chunk
-//!    on the submitting thread — no locks, no wake-ups.
+//!    on the submitting thread — no hand-off, no wake-ups. At `jobs = 1`
+//!    every wavefront takes this path, so single-threaded mapping is
+//!    the same driver with the pool never touched.
 //!
 //! Determinism is unchanged from the per-tree scheduler: every chunk
 //! writes solutions into a slot-per-tree buffer and the driver
 //! publishes root depths in tree order between wavefronts, so the
 //! produced circuit, every telemetry counter, and the trace identity
-//! are bit-identical across `jobs × chunk × cache-mode`. The only new
-//! observable state is the `sched.*` counter family, which (like
-//! `cache.shards`) echoes the schedule rather than the work and is
-//! excluded from that contract.
+//! are bit-identical across `jobs × chunk × cache-mode`. The only
+//! exception is the `sched.*` counter family, which echoes the schedule
+//! rather than the work and is excluded from that contract.
 //!
 //! Failure handling: the first chunk to observe a fired cancel token
 //! or a mapping error records it in the wavefront's error slot and
@@ -74,10 +75,10 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock};
 use std::time::Instant;
 
-use chortle_netlist::{Network, NodeId};
+use chortle_netlist::NodeId;
 use chortle_telemetry::{Histogram, Telemetry, TraceScope};
 
-use crate::cache::{CacheKey, FnKey, SharedCache, SharedFnCache, TreeCache};
+use crate::cache::{CacheKey, FnKey, SharedCache, SharedFnCache};
 use crate::cancel::CancelToken;
 use crate::dp::{map_tree_solution, DpScratch, Objective, ShapeSolution};
 use crate::map::{stats, FnMeta, MapError};
@@ -198,19 +199,6 @@ pub(crate) struct Occupancy {
     pub busy_s: f64,
 }
 
-/// Which cache a wavefront's chunks consult. `PerChunk` is
-/// [`crate::CacheMode::Tree`] under the pool: workers are process-wide
-/// and outlive any one run, so the private cache shrinks to chunk
-/// scope — a pure hit-rate trade, invisible in the produced circuit.
-pub(crate) enum WaveCache {
-    /// No memoization.
-    Off,
-    /// A fresh private [`TreeCache`] per chunk.
-    PerChunk,
-    /// The run- (or warm-) scoped sharded cache.
-    Shared(Arc<SharedCache>),
-}
-
 /// One tree's mapped solution plus the structural and functional cache
 /// keys it was (re)computed under, if the run is keyed.
 pub(crate) type TreeResult = (Arc<ShapeSolution>, Option<CacheKey>, Option<FnKey>);
@@ -270,9 +258,6 @@ impl ExecutorBudget {
 /// by `Arc` between the submitting thread and the pool; all mutation
 /// funnels through the interior locks.
 pub(crate) struct WaveCtx {
-    /// The normalized network (leaf-op lookups during key recompute).
-    #[allow(dead_code)] // retained: keeps the network alive for the tasks
-    pub normal: Arc<Network>,
     /// The whole forest, canonicalized, in tree order.
     pub trees: Arc<Vec<Tree>>,
     /// Canonical shape fingerprints, indexed like `trees`.
@@ -289,17 +274,15 @@ pub(crate) struct WaveCtx {
     pub k: usize,
     /// Mapping objective.
     pub objective: Objective,
-    /// Whether trees are keyed for caching (any enabled cache mode).
-    pub keyed: bool,
-    /// The cache chunks consult.
-    pub cache: WaveCache,
+    /// The run- (or warm-) scoped structural cache; `None` under
+    /// [`crate::CacheMode::Off`], when trees are not keyed at all.
+    pub cache: Option<Arc<SharedCache>>,
     /// Per-tree functional metadata (truth-table canon, blind shape),
     /// indexed like `trees`; empty unless the run's mode has a
     /// functional tier.
     pub fn_metas: Arc<Vec<Option<FnMeta>>>,
     /// The run-shared functional tier, present under
-    /// [`crate::CacheMode::Fn`]. Never per-chunk: the mode implies
-    /// shared semantics.
+    /// [`crate::CacheMode::Fn`].
     pub fn_cache: Option<Arc<SharedFnCache>>,
     /// Cooperative cancellation, polled at every tree boundary.
     pub cancel: CancelToken,
@@ -800,9 +783,9 @@ where
 
 /// Maps one chunk: the trees at `wave.indices[start..end]`, in order,
 /// publishing solutions into the wavefront's slot-per-tree buffer.
-/// Identical per-tree logic to the sequential driver — cache lookup by
-/// canonical key, subset-DP solve on miss, first-writer-wins insert —
-/// so the buffered results are bit-identical to sequential mapping.
+/// Per tree: cache lookup by canonical key, subset-DP solve on miss,
+/// first-writer-wins insert — so the buffered results do not depend on
+/// which executor ran the chunk, or when.
 pub(crate) fn run_chunk(
     wave: &WaveCtx,
     (start, end): (usize, usize),
@@ -815,12 +798,7 @@ pub(crate) fn run_chunk(
     let busy_start = enabled.then(Instant::now);
     let mut buf = telemetry.trace_buffer(worker);
     let mut hist = Histogram::new();
-    // CacheMode::Tree under the pool: one private cache per chunk.
-    let mut private = matches!(wave.cache, WaveCache::PerChunk).then(TreeCache::new);
-    let shared = match &wave.cache {
-        WaveCache::Shared(s) => Some(s.as_ref()),
-        _ => None,
-    };
+    let shared = wave.cache.as_deref();
     let arrivals: &[u32] = &wave.arrivals;
     let leaf_depth = |id: NodeId| arrivals[id.index()];
     let fn_cache = wave.fn_cache.as_deref();
@@ -856,14 +834,11 @@ pub(crate) fn run_chunk(
                 tree.nodes.len() as u64,
             );
         }
-        let key = wave
-            .keyed
-            .then(|| CacheKey::of(tree, wave.shapes[ti], &leaf_depth));
-        // The fn-tier lookup must mirror the sequential driver exactly
-        // here: functional first, then structural, then solve; a
-        // structural hit back-fills the functional tier; a solve
-        // inserts into both. `fn_metas` is indexed by the *global*
-        // tree index, like `shapes`.
+        let key = shared.map(|_| CacheKey::of(tree, wave.shapes[ti], &leaf_depth));
+        // Functional first, then structural, then solve; a structural
+        // hit back-fills the functional tier; a solve inserts into
+        // both. `fn_metas` is indexed by the *global* tree index, like
+        // `shapes`.
         let fn_key = match (wave.fn_metas.get(ti).and_then(Option::as_ref), &key) {
             (Some(meta), Some(k)) => Some(meta.key(k)),
             _ => None,
@@ -873,13 +848,7 @@ pub(crate) fn run_chunk(
             _ => None,
         };
         let via_fn = cached_fn.is_some();
-        let cached = cached_fn.or_else(|| {
-            key.and_then(|k| match (shared, &private) {
-                (Some(s), _) => s.get(&k),
-                (None, Some(p)) => p.get(&k),
-                _ => None,
-            })
-        });
+        let cached = cached_fn.or_else(|| shared.zip(key).and_then(|(s, k)| s.get(&k)));
         let sol = match cached {
             Some(sol) => {
                 // A structural hit back-fills the functional tier (a
@@ -903,15 +872,11 @@ pub(crate) fn run_chunk(
                             break;
                         }
                     };
-                let sol = match (shared, &mut private) {
+                let sol = match shared.zip(key) {
                     // First writer wins; adopt whatever landed so
                     // racing duplicates share one allocation.
-                    (Some(s), _) => s.insert(k_unwrap(key), sol),
-                    (None, Some(p)) => {
-                        p.insert(k_unwrap(key), sol.clone());
-                        sol
-                    }
-                    _ => sol,
+                    Some((s, k)) => s.insert(k, sol),
+                    None => sol,
                 };
                 if let (Some(fk), Some(f)) = (fn_key, fn_cache) {
                     f.insert(fk, sol.clone());
@@ -967,12 +932,6 @@ pub(crate) fn run_chunk(
             }),
         }
     }
-}
-
-/// Unwraps a cache key on the insert path, where the mode being enabled
-/// guarantees it was computed.
-fn k_unwrap(key: Option<CacheKey>) -> CacheKey {
-    key.expect("caching modes key every tree")
 }
 
 #[cfg(test)]
@@ -1057,7 +1016,6 @@ mod tests {
         let arrivals = vec![0u32; net.len()];
         let trees = Forest::of(&net).trees;
         let wave = Arc::new(WaveCtx {
-            normal: Arc::new(net),
             trees: Arc::new(trees),
             shapes: Arc::new(Vec::new()),
             arrivals: Arc::new(arrivals),
@@ -1065,8 +1023,7 @@ mod tests {
             wave_index: 0,
             k: 4,
             objective: Objective::Area,
-            keyed: false,
-            cache: WaveCache::Off,
+            cache: None,
             fn_metas: Arc::new(Vec::new()),
             fn_cache: None,
             cancel: crate::cancel::CancelToken::armed(),

@@ -4,7 +4,9 @@
 //! work tally. Random cases come from the in-repo [`SplitMix64`]
 //! generator, so the suite runs fully offline.
 
-use chortle::{map_network, stats, CacheMode, Forest, MapOptions, Telemetry, Tree, TreeChild};
+use chortle::{
+    map_network, stats, CacheMode, ChunkPolicy, Forest, MapOptions, Telemetry, Tree, TreeChild,
+};
 use chortle_netlist::{Network, NodeId, NodeOp, Signal, SplitMix64};
 
 fn random_network(seed: u64, inputs: usize, gates: usize, max_arity: usize) -> Network {
@@ -324,6 +326,46 @@ fn shared_mode_reports_no_fn_counters() {
             );
         }
     }
+}
+
+#[test]
+fn tree_mode_reports_exactly_what_shared_mode_reports() {
+    // `tree` is an alias of `shared`: same circuit, same report, and
+    // the same value on every counter, `cache.*` included. One chunk per
+    // wavefront keeps the `sched.*` schedule echoes deterministic, so
+    // they can be compared too.
+    // An ALU's repeated bit slices make cache hits certain; the random
+    // network adds an irregular forest.
+    let nets = [
+        chortle_circuits::alu(8),
+        random_network(0xcace_0007, 8, 40, 4),
+    ];
+    let mut hits_seen = false;
+    for (round, net) in nets.iter().enumerate() {
+        for jobs in [1, 4] {
+            let run = |cache| {
+                let telemetry = Telemetry::enabled();
+                let options = MapOptions::builder(4)
+                    .cache(cache)
+                    .jobs(jobs)
+                    .chunk(ChunkPolicy::Fixed(1 << 30))
+                    .expect("valid chunk")
+                    .telemetry(telemetry.clone())
+                    .build()
+                    .expect("valid options");
+                let mapping = map_network(net, &options).expect("maps");
+                (mapping, telemetry.snapshot())
+            };
+            let (tree, tree_stats) = run(CacheMode::Tree);
+            let (shared, shared_stats) = run(CacheMode::Shared);
+            let context = format!("round={round} jobs={jobs}");
+            assert_eq!(tree.circuit, shared.circuit, "{context}");
+            assert_eq!(tree.report, shared.report, "{context}");
+            assert_eq!(tree_stats.counters, shared_stats.counters, "{context}");
+            hits_seen |= shared_stats.counter(stats::CACHE_HITS).unwrap_or(0) > 0;
+        }
+    }
+    assert!(hits_seen, "no network exercised a cache hit");
 }
 
 #[test]

@@ -115,14 +115,21 @@ fn warm_cache_segments_do_not_leak_across_options() {
 #[test]
 fn warm_cache_is_inert_outside_shared_mode() {
     let net = layered_network(4);
-    let warm = WarmCache::new();
-    for mode in [CacheMode::Off, CacheMode::Tree] {
-        let opts = MapOptions::builder(4)
+    let opts = |mode, warm: &WarmCache| {
+        MapOptions::builder(4)
             .cache(mode)
             .warm_cache(warm.clone())
             .build()
-            .unwrap();
-        map_network(&net, &opts).unwrap();
-        assert_eq!(warm.shapes(), 0, "{mode:?} must not touch the warm cache");
-    }
+            .unwrap()
+    };
+    let warm = WarmCache::new();
+    map_network(&net, &opts(CacheMode::Off, &warm)).unwrap();
+    assert_eq!(warm.shapes(), 0, "Off must not touch the warm cache");
+    // `tree` is an alias of `shared`, so it is shared mode: it fills
+    // the warm cache exactly as `shared` does.
+    map_network(&net, &opts(CacheMode::Tree, &warm)).unwrap();
+    let shared = WarmCache::new();
+    map_network(&net, &opts(CacheMode::Shared, &shared)).unwrap();
+    assert!(warm.shapes() > 0, "Tree must use the warm cache");
+    assert_eq!(warm.stats(), shared.stats(), "Tree and Shared diverged");
 }

@@ -287,11 +287,16 @@ fn jobs_one_never_touches_the_pool() {
         .expect("valid options");
     map_network(&net, &options).expect("maps");
     let report = telemetry.snapshot();
-    // The sequential driver emits no schedule echoes at all.
-    assert!(report
-        .counters
-        .iter()
-        .all(|c| !c.name.starts_with("sched.")));
+    // One executor runs every wavefront inline on the calling thread:
+    // nothing is chunked, pooled or stolen.
+    assert!(!report.wavefronts.is_empty());
+    assert_eq!(report.counter(stats::SCHED_POOLED_WAVES), Some(0));
+    assert_eq!(report.counter(stats::SCHED_CHUNKS), Some(0));
+    assert_eq!(report.counter(stats::SCHED_STEALS), Some(0));
+    assert_eq!(
+        report.counter(stats::SCHED_INLINE_WAVES),
+        Some(report.wavefronts.len() as u64)
+    );
 }
 
 #[test]

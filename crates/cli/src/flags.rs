@@ -68,7 +68,7 @@ pub const FLAGS: &[Flag] = &[
         name: "--cache",
         alias: None,
         value: Some("MODE"),
-        help: "DP-result cache: shared (default), tree, off, or fn",
+        help: "DP-result cache: shared (default), off, or fn; tree = alias of shared",
     },
     Flag {
         name: "--pack",
@@ -171,7 +171,7 @@ pub fn help_text() -> String {
             left.push(' ');
             left.push_str(value);
         }
-        let _ = writeln!(out, "{left:<22}{}", flag.help);
+        let _ = writeln!(out, "{left:<21} {}", flag.help);
     }
     out.push_str("\nSubcommands:\n");
     out.push_str("  serve               run the resident mapping daemon (newline-delimited\n");
@@ -184,7 +184,7 @@ pub fn help_text() -> String {
             left.push(' ');
             left.push_str(value);
         }
-        let _ = writeln!(out, "{left:<22}{}", flag.help);
+        let _ = writeln!(out, "{left:<21} {}", flag.help);
     }
     out
 }
@@ -209,6 +209,34 @@ mod tests {
         }
         for flag in chortle_server::SERVE_FLAGS {
             assert!(help.contains(flag.help), "help lost {:?}", flag.help);
+        }
+    }
+
+    #[test]
+    fn help_text_separates_every_flag_column_from_its_text() {
+        // The flag column as rendered: indent, name, alias, value.
+        let mut rows: Vec<(String, &str)> = FLAGS
+            .iter()
+            .map(|f| {
+                let alias = f.alias.map(|a| format!(", {a}")).unwrap_or_default();
+                let value = f.value.map(|v| format!(" {v}")).unwrap_or_default();
+                (format!("  {}{alias}{value}", f.name), f.help)
+            })
+            .collect();
+        rows.extend(chortle_server::SERVE_FLAGS.iter().map(|f| {
+            let value = f.value.map(|v| format!(" {v}")).unwrap_or_default();
+            (format!("    {}{value}", f.name), f.help)
+        }));
+        let help = help_text();
+        for (column, text) in rows {
+            let separated = help.lines().any(|line| {
+                line.strip_prefix(column.as_str())
+                    .is_some_and(|rest| rest.starts_with(' ') && rest.trim_start() == text)
+            });
+            assert!(
+                separated,
+                "no help line renders {column:?} followed by whitespace and {text:?}"
+            );
         }
     }
 }

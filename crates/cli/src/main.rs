@@ -146,18 +146,12 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Cli>, CliErro
                 };
             }
             "--cache" => {
-                cache = match value.as_str() {
-                    "off" => CacheMode::Off,
-                    "tree" => CacheMode::Tree,
-                    "shared" => CacheMode::Shared,
-                    "fn" => CacheMode::Fn,
-                    other => {
-                        return Err(CliError::invalid(
-                            "--cache",
-                            format!("{other:?} (expected off, tree, shared or fn)"),
-                        ))
-                    }
-                };
+                cache = CacheMode::parse(&value).ok_or_else(|| {
+                    CliError::invalid(
+                        "--cache",
+                        format!("{value:?} (expected off, tree, shared or fn)"),
+                    )
+                })?;
             }
             "--pack" => {
                 pack = match value.as_str() {

@@ -162,17 +162,12 @@ fn parse_client_args(
             "-k" => req.k = parse_number(&value("-k")?, "-k")?,
             "--jobs" => req.jobs = parse_number(&value("--jobs")?, "--jobs")?,
             "--cache" => {
-                req.cache = match value("--cache")?.as_str() {
-                    "off" => chortle::CacheMode::Off,
-                    "tree" => chortle::CacheMode::Tree,
-                    "shared" => chortle::CacheMode::Shared,
-                    "fn" => chortle::CacheMode::Fn,
-                    other => {
-                        return Err(format!(
-                        "invalid value for --cache: {other:?} (expected off, tree, shared or fn)"
-                    ))
-                    }
-                }
+                let name = value("--cache")?;
+                req.cache = chortle::CacheMode::parse(&name).ok_or_else(|| {
+                    format!(
+                        "invalid value for --cache: {name:?} (expected off, tree, shared or fn)"
+                    )
+                })?
             }
             "--objective" => {
                 req.objective = match value("--objective")?.as_str() {

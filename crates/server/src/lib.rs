@@ -28,7 +28,8 @@
 //!   at tree boundaries inside the mapper, answering
 //!   `rejected: deadline_exceeded` with partial work discarded;
 //! - a process-wide **warm DP cache** ([`chortle::WarmCache`]) shared
-//!   across requests in `cache: "shared"` mode, observable through the
+//!   across requests in every caching mode (all but `cache: "off"`;
+//!   `"tree"` is an alias of `"shared"`), observable through the
 //!   `cache_generation` response field and resettable with a `flush`
 //!   request;
 //! - **graceful shutdown**: a `shutdown` request stops admission,

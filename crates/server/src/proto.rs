@@ -525,18 +525,12 @@ fn parse_map_fields(
     let jobs = opt_u64(value, "jobs", id, version)?.map_or(0, |v| v as usize);
     let cache = match value.get("cache") {
         None => CacheMode::Shared,
-        Some(v) => match v.as_str() {
-            Some("off") => CacheMode::Off,
-            Some("tree") => CacheMode::Tree,
-            Some("shared") => CacheMode::Shared,
-            Some("fn") => CacheMode::Fn,
-            _ => {
-                return Err(fail(format!(
-                    "\"cache\" must be \"off\", \"tree\", \"shared\" or \"fn\", found {}",
-                    describe(v)
-                )))
-            }
-        },
+        Some(v) => v.as_str().and_then(CacheMode::parse).ok_or_else(|| {
+            fail(format!(
+                "\"cache\" must be \"off\", \"tree\", \"shared\" or \"fn\", found {}",
+                describe(v)
+            ))
+        })?,
     };
     let objective = match value.get("objective") {
         None => Objective::Area,
@@ -693,12 +687,7 @@ fn request_header(out: &mut String, version: ProtocolVersion, id: &str) {
 /// on server defaults. `priority` is a v2-only key.
 fn write_map_knobs(out: &mut String, req: &MapRequest, version: ProtocolVersion) {
     use std::fmt::Write as _;
-    let cache = match req.cache {
-        CacheMode::Off => "off",
-        CacheMode::Tree => "tree",
-        CacheMode::Shared => "shared",
-        CacheMode::Fn => "fn",
-    };
+    let cache = req.cache.as_str();
     let objective = match req.objective {
         Objective::Area => "area",
         Objective::Depth => "depth",

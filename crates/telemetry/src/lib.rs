@@ -531,8 +531,8 @@ pub struct Report {
     pub stages: Vec<StageStat>,
     /// Counters, sorted by name. Producers guarantee these are
     /// scheduling-independent: the same workload yields bit-identical
-    /// values for any `jobs` setting (`cache.shards` and `trace.*` are
-    /// the documented configuration/observation-echo exceptions).
+    /// values for any `jobs` setting (`sched.*` and `trace.*` are the
+    /// documented schedule/observation-echo exceptions).
     pub counters: Vec<CounterStat>,
     /// Histograms, sorted by name. Bucket *boundaries* are exact, so
     /// histograms of deterministic quantities (e.g. per-tree DP work)

@@ -24,6 +24,12 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+# The end-to-end benchmark is its own workspace, so the root test run
+# never compiles it; build and test it here so a library change that
+# breaks its calls fails the gate.
+echo "==> cargo test -q --offline --manifest-path e2ebench/Cargo.toml"
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+
 smoke_blif='.model smoke\n.inputs a b c\n.outputs y\n.names a b t\n11 1\n.names t c y\n1- 1\n-1 1\n.end\n'
 
 echo "==> telemetry report smoke (--report json | report-check)"
