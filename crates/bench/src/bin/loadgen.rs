@@ -77,7 +77,7 @@ use chortle_circuits::alu;
 use chortle_logic_opt::optimize;
 use chortle_netlist::write_blif;
 use chortle_server::{
-    proto, BatchReply, Client, FlushReply, MapReply, MapRequest, Mapped, MetricsReply,
+    proto, stats, BatchReply, Client, FlushReply, MapReply, MapRequest, Mapped, MetricsReply,
     MetricsSnapshot, ProtocolVersion, Response, ServeOptions, Server, ShutdownReply, StatsReply,
 };
 use chortle_telemetry::{json, Histogram};
@@ -789,7 +789,7 @@ fn main() {
                 name,
             );
             server_run.record(mapped.run_ns);
-            design_clouds += report_counter(&mapped.report_json, "design.clouds");
+            design_clouds += report_counter(&mapped.report_json, chortle::stats::DESIGN_CLOUDS);
             mapped.netlist
         })
         .collect();
@@ -840,7 +840,7 @@ fn main() {
             queue_high_water,
             ..
         } => {
-            let live = report_histogram(&report_json, "serve.run_ns");
+            let live = report_histogram(&report_json, stats::HIST_RUN_NS);
             assert_eq!(
                 live, server_run,
                 "op:\"stats\" run_ns histogram diverged from the echoed run_ns values"
@@ -865,7 +865,7 @@ fn main() {
     chortle_telemetry::schema::validate_report(&summary.report.to_json())
         .expect("final server report validates");
     assert!(
-        summary.report.counter("serve.batch_frames").unwrap_or(0) >= batch_frames as u64,
+        summary.report.counter(stats::BATCH_FRAMES).unwrap_or(0) >= batch_frames as u64,
         "the batch phase's frames are counted"
     );
 

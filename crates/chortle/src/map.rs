@@ -24,87 +24,13 @@ use crate::pack::PackMode;
 use crate::sched::ChunkPolicy;
 use crate::tree::{Fingerprint, FingerprintScratch, Forest, Tree};
 
-/// Names of the stages and counters the mapper reports into its
-/// [`Telemetry`] sink (see `DESIGN.md` §10 for the full catalogue and
-/// exact semantics). Every counter is a pure function of the input
-/// network and the options — identical totals for any `jobs` value.
+/// Names the mapper reports into its [`Telemetry`] sink: the metric
+/// registry's [`chortle_telemetry::registry::mapper`] group (whose help
+/// text states each metric's contract; see `DESIGN.md` §10), plus the
+/// trace-event names, which are not metrics.
 pub mod stats {
-    /// Stage: network normalization (`Network::simplified`).
-    pub const STAGE_NORMALIZE: &str = "map.normalize";
-    /// Stage: fanout-free forest construction.
-    pub const STAGE_FOREST: &str = "map.forest";
-    /// Stage: wide-node pre-splitting.
-    pub const STAGE_SPLIT: &str = "map.split";
-    /// Stage: canonical reordering and renumbering of every tree (see
-    /// [`crate::Tree::canonicalize`]); runs in every cache mode so the
-    /// produced circuit never depends on the cache setting.
-    pub const STAGE_CANON: &str = "map.canon";
-    /// Stage: the subset-DP mapping of every tree (wavefront by
-    /// wavefront, on up to `jobs` executors).
-    pub const STAGE_DP: &str = "map.dp";
-    /// Stage: functional-tier key material — packed truth tables and
-    /// their NPN canonical forms (memoized per distinct table) plus
-    /// blind skeleton fingerprints. Runs only under
-    /// [`crate::CacheMode::Fn`].
-    pub const STAGE_FNMETA: &str = "map.fnmeta";
-    /// Stage: LUT-circuit reconstruction and emission.
-    pub const STAGE_EMIT: &str = "map.emit";
-    /// Stage: the opt-in don't-care packing post-pass plus its
-    /// per-circuit equivalence verification (`--pack dc` only).
-    pub const STAGE_PACK: &str = "map.pack";
-    /// Counter: LUT inputs dropped by the don't-care packing post-pass
-    /// (emitted only under [`crate::PackMode::Dc`]).
-    pub const PACK_DROPPED_INPUTS: &str = "pack.dropped_inputs";
-    /// Counter: LUTs removed by the packing post-pass — constants,
-    /// buffers collapsed into their source, and exact duplicates merged
-    /// (emitted only under [`crate::PackMode::Dc`]).
-    pub const PACK_REMOVED_LUTS: &str = "pack.removed_luts";
-    /// Counter: utilization divisions enumerated by the DP kernels.
-    pub const DP_DIVISIONS: &str = "dp.divisions";
-    /// Counter: intermediate-node blocks examined by the submask walks.
-    pub const DP_GROUP_BLOCKS: &str = "dp.group_blocks";
-    /// Counter: submask walks skipped by the `nd_feasible` prune.
-    pub const DP_PRUNED_WALKS: &str = "dp.pruned_walks";
-    /// Counter: tree nodes pushed through a DP kernel.
-    pub const DP_TREE_NODES: &str = "dp.tree_nodes";
-    /// Counter: nodes served from the tree-local scratch high-water
-    /// capacity (see `DpCounters` for why the mark is tree-local).
-    pub const DP_SCRATCH_HITS: &str = "dp.scratch_hits";
-    /// Counter: nodes that raised the tree-local scratch high-water mark.
-    pub const DP_SCRATCH_GROWS: &str = "dp.scratch_grows";
-    /// Counter: wide tree nodes halved before mapping.
-    pub const MAP_NODES_SPLIT: &str = "map.nodes_split";
-    /// Counter: fanout-free trees in the mapped forest.
-    pub const MAP_TREES: &str = "map.trees";
-    /// Counter: trees whose DP solution replays a cache key seen earlier
-    /// in tree order. Derived from the forest, not from lock traffic, so
-    /// the total is identical for every `jobs` value. Reported only when
-    /// caching is on ([`crate::CacheMode::Off`] emits no `cache.*`
-    /// counters).
-    pub const CACHE_HITS: &str = "cache.hits";
-    /// Counter: distinct cache keys in the forest — the trees that pay
-    /// for a full subset-DP run. `hits + misses == map.trees`.
-    pub const CACHE_MISSES: &str = "cache.misses";
-    /// Counter: shards of the DP-result cache — a configuration echo,
-    /// 16 whenever caching is on (every caching mode uses the one
-    /// sharded store), so identical for every `jobs` value.
-    pub const CACHE_SHARDS: &str = "cache.shards";
-    /// Counter: LUTs emitted from replayed (cache-hit) solutions.
-    pub const CACHE_REPLAYED_LUTS: &str = "cache.replayed_luts";
-    /// Counter: trees served by the *functional* tier — a structural
-    /// miss whose `(NPN class, blind skeleton, depths)` key was seen
-    /// earlier in tree order. Derived like [`CACHE_HITS`] (a pure
-    /// function of the forest, identical for any `jobs`); emitted only
-    /// under [`crate::CacheMode::Fn`]. In that mode
-    /// `cache.hits + cache.fn_hits + cache.misses == map.trees`.
-    pub const CACHE_FN_HITS: &str = "cache.fn_hits";
-    /// Counter: functional-tier-eligible trees (≤ 6 leaves) that missed
-    /// both tiers and paid for a full solve. Emitted only under
-    /// [`crate::CacheMode::Fn`]; `fn_misses <= misses`.
-    pub const CACHE_FN_MISSES: &str = "cache.fn_misses";
-    /// Counter: LUTs emitted from functional-tier replays. Emitted only
-    /// under [`crate::CacheMode::Fn`].
-    pub const CACHE_FN_REPLAYED_LUTS: &str = "cache.fn_replayed_luts";
+    pub use chortle_telemetry::registry::mapper::*;
+
     /// Trace span: one tree's DP mapping (`Tree` scope, index = tree
     /// order; begin arg = tree node count, end arg = the tree's LUT
     /// cost). Emitted in identical sequences for every `jobs` — only the
@@ -123,57 +49,6 @@ pub mod stats {
     /// Schedule-dependent by nature — excluded from the deterministic
     /// trace identity.
     pub const TRACE_WORKER: &str = "sched.worker";
-    /// Counter: chunks submitted to the work-stealing pool (inline
-    /// wavefronts contribute none). Deterministic given the options and
-    /// the host, but — like every `sched.*` counter — a *schedule*
-    /// echo, excluded from the any-`jobs`-identical counter contract.
-    pub const SCHED_CHUNKS: &str = "sched.chunks";
-    /// Counter: chunks taken from a deque other than their owner's —
-    /// the work-stealing traffic. Nondeterministic by nature; see
-    /// [`SCHED_CHUNKS`] for the exclusion.
-    pub const SCHED_STEALS: &str = "sched.steals";
-    /// Counter: wavefronts that fell through to the inline path on the
-    /// calling thread (too little estimated work, or a single chunk or
-    /// executor — every wavefront at `jobs = 1`).
-    /// See [`SCHED_CHUNKS`] for the exclusion.
-    pub const SCHED_INLINE_WAVES: &str = "sched.inline_waves";
-    /// Counter: wavefronts executed on the process-wide chunk pool.
-    /// See [`SCHED_CHUNKS`] for the exclusion.
-    pub const SCHED_POOLED_WAVES: &str = "sched.pooled_waves";
-    /// Histogram: per-tree mapping wall time, nanoseconds. Bucketing is
-    /// exact and merging is associative, but wall time itself varies
-    /// run to run.
-    pub const HIST_TREE_NS: &str = "map.tree_ns";
-    /// Histogram: per-tree DP work, measured in utilization divisions
-    /// (not nanoseconds) — a deterministic work distribution that is
-    /// bit-identical for every `jobs` value and cache mode.
-    pub const HIST_TREE_WORK: &str = "dp.tree_work";
-    /// Counter: combinational clouds cut from a sequential design and
-    /// mapped by [`crate::map_design`]. Deterministic — a function of
-    /// the design, not the schedule.
-    pub const DESIGN_CLOUDS: &str = "design.clouds";
-    /// Counter: latches in the flattened sequential design.
-    pub const DESIGN_LATCHES: &str = "design.latches";
-    /// Counter: sinks (primary outputs or latch data inputs) driven
-    /// directly by an input or a constant, bypassing mapping.
-    pub const DESIGN_PASSTHROUGHS: &str = "design.passthroughs";
-    /// Counter: LUTs across all mapped clouds of the design.
-    pub const DESIGN_CLOUD_LUTS: &str = "design.cloud_luts";
-    /// Histogram: per-cloud gate count — a deterministic size
-    /// distribution, bit-identical for every `jobs` value and cache
-    /// mode (clouds are numbered in sink order).
-    pub const HIST_CLOUD_WORK: &str = "design.cloud_work";
-    /// Counter: logical (continuation-joined, comment-stripped) lines
-    /// the streaming BLIF reader consumed.
-    pub const BLIF_LOGICAL_LINES: &str = "blif.logical_lines";
-    /// Counter: `.model` blocks in the parsed file.
-    pub const BLIF_MODELS: &str = "blif.models";
-    /// Counter: `.subckt` instantiations expanded during flattening.
-    pub const BLIF_SUBCKTS: &str = "blif.subckts";
-    /// Counter: `.latch` directives across all models.
-    pub const BLIF_LATCHES: &str = "blif.latches";
-    /// Counter: `.exdc` blocks skipped by the reader.
-    pub const BLIF_EXDC_BLOCKS: &str = "blif.exdc_blocks";
 }
 
 /// Flushes a scratch arena's accumulated kernel counters into a

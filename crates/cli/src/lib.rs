@@ -56,20 +56,12 @@ pub use chortle::{
 };
 
 /// Names of the flow-level stages [`run_flow`] reports into the sink
-/// attached via [`MapOptionsBuilder::telemetry`] (nested mapper and
+/// attached via [`MapOptionsBuilder::telemetry`]: the metric registry's
+/// [`chortle_telemetry::registry::flow`] group (nested mapper and
 /// optimizer stages use the `map.*` / `dp.*` / `opt.*` names — see
 /// [`chortle::stats`] and [`chortle_logic_opt::stats`]).
 pub mod stats {
-    /// Stage: BLIF parsing.
-    pub const STAGE_PARSE: &str = "flow.parse";
-    /// Stage: the MIS-style optimization script (when enabled).
-    pub const STAGE_OPTIMIZE: &str = "flow.optimize";
-    /// Stage: technology mapping.
-    pub const STAGE_MAP: &str = "flow.map";
-    /// Stage: functional equivalence verification (when enabled).
-    pub const STAGE_VERIFY: &str = "flow.verify";
-    /// Stage: serializing the mapped circuit.
-    pub const STAGE_RENDER: &str = "flow.render";
+    pub use chortle_telemetry::registry::flow::*;
 }
 
 /// Output format of the mapped circuit.

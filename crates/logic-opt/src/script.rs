@@ -13,28 +13,11 @@ use crate::extract::{extract_cubes, extract_kernels};
 use crate::network::SopNetwork;
 
 /// Names of the stages and counters the optimization script reports into
-/// its [`Telemetry`] sink (see the repository's `DESIGN.md` §10).
+/// its [`Telemetry`] sink: the metric registry's
+/// [`chortle_telemetry::registry::opt`] group (see the repository's
+/// `DESIGN.md` §10).
 pub mod stats {
-    /// Stage: node elimination (MIS' `eliminate`).
-    pub const STAGE_ELIMINATE: &str = "opt.eliminate";
-    /// Stage: cheap per-node SOP minimization (both passes).
-    pub const STAGE_MINIMIZE: &str = "opt.minimize";
-    /// Stage: exact two-level minimization (when enabled).
-    pub const STAGE_EXACT: &str = "opt.exact";
-    /// Stage: espresso-style heuristic minimization (when enabled).
-    pub const STAGE_HEURISTIC: &str = "opt.heuristic";
-    /// Stage: greedy kernel extraction.
-    pub const STAGE_KERNELS: &str = "opt.kernels";
-    /// Stage: greedy cube extraction.
-    pub const STAGE_CUBES: &str = "opt.cubes";
-    /// Stage: factoring the SOP network back into an AND/OR network.
-    pub const STAGE_FACTOR: &str = "opt.factor";
-    /// Counter: nodes eliminated by inlining.
-    pub const ELIMINATED: &str = "opt.eliminated";
-    /// Counter: kernels + cubes extracted as new nodes.
-    pub const EXTRACTED: &str = "opt.extracted";
-    /// Counter: SOP literals removed by the whole script.
-    pub const LITERALS_SAVED: &str = "opt.literals_saved";
+    pub use chortle_telemetry::registry::opt::*;
 }
 
 /// Tuning knobs of [`optimize_with`].

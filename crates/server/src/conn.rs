@@ -22,6 +22,9 @@ pub(crate) struct Conn {
     stream: TcpStream,
     /// Bytes received but not yet split into complete lines.
     rbuf: Vec<u8>,
+    /// Length of the `rbuf` prefix already searched for `\n` without a
+    /// hit, so a frame arriving over many reads is scanned only once.
+    scanned: usize,
     /// Rendered response bytes not yet accepted by the kernel.
     wbuf: Vec<u8>,
     /// The peer half-closed (EOF) or errored its read side.
@@ -40,6 +43,7 @@ impl Conn {
         Ok(Conn {
             stream,
             rbuf: Vec::new(),
+            scanned: 0,
             wbuf: Vec::new(),
             read_closed: false,
             write_dead: false,
@@ -79,6 +83,7 @@ impl Conn {
         if self.read_closed && !self.rbuf.is_empty() {
             // EOF with a trailing unterminated line: deliver it.
             let tail = std::mem::take(&mut self.rbuf);
+            self.scanned = 0;
             lines.push(String::from_utf8_lossy(&tail).into_owned());
         }
         progressed
@@ -87,15 +92,19 @@ impl Conn {
     /// Splits complete `\n`-terminated lines out of `rbuf`.
     fn split_lines(&mut self, lines: &mut Vec<String>) {
         let mut start = 0;
-        while let Some(pos) = self.rbuf[start..].iter().position(|&b| b == b'\n') {
-            let end = start + pos;
+        let mut from = self.scanned;
+        while let Some(pos) = self.rbuf[from..].iter().position(|&b| b == b'\n') {
+            let end = from + pos;
             let line = String::from_utf8_lossy(&self.rbuf[start..end]).into_owned();
             lines.push(line);
             start = end + 1;
+            from = start;
         }
         if start > 0 {
             self.rbuf.drain(..start);
         }
+        // Whatever is left holds no `\n`.
+        self.scanned = self.rbuf.len();
     }
 
     /// Appends one response frame to the write buffer. Returns `true`
@@ -171,6 +180,18 @@ mod tests {
         (peer, Conn::new(accepted).expect("conn"))
     }
 
+    /// Reads until `done` holds, for up to ~200 ms (TCP may deliver in
+    /// pieces).
+    fn read_until(conn: &mut Conn, lines: &mut Vec<String>, done: fn(&Conn, &[String]) -> bool) {
+        for _ in 0..200 {
+            conn.read_available(lines);
+            if done(conn, lines) {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn splits_pipelined_lines_and_keeps_partials() {
         let (mut peer, mut conn) = pair();
@@ -179,27 +200,46 @@ mod tests {
         let mut lines = Vec::new();
         // Poll until both complete lines arrived (TCP may deliver in
         // pieces); the partial third must stay buffered.
-        for _ in 0..200 {
-            conn.read_available(&mut lines);
-            if lines.len() >= 2 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        read_until(&mut conn, &mut lines, |_, lines| lines.len() >= 2);
         assert_eq!(lines, ["one", "two"]);
         assert!(!conn.read_closed);
         // Completing the line and closing delivers the rest.
         peer.write_all(b" more\nlast").expect("write");
         drop(peer);
-        for _ in 0..200 {
-            conn.read_available(&mut lines);
-            if conn.read_closed {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        read_until(&mut conn, &mut lines, |c, _| c.read_closed);
         assert_eq!(lines, ["one", "two", "three more", "last"]);
         assert!(conn.read_closed);
+
+        // Whatever the read sizes, every buffered byte is scanned once:
+        // one byte per read, and a `\n` either side of a 64 KiB read.
+        let one_byte: Vec<&[u8]> = b"{\"op\":\"map\"}\nnext".chunks(1).collect();
+        let mut ends_in_newline = vec![b'a'; READ_CHUNK];
+        ends_in_newline[READ_CHUNK - 1] = b'\n';
+        for (reads, lengths) in [
+            (one_byte, vec![12]),
+            (vec![&ends_in_newline[..], b"b\n"], vec![READ_CHUNK - 1, 1]),
+            (vec![&[b'a'; READ_CHUNK][..], b"\nb\n"], vec![READ_CHUNK, 1]),
+        ] {
+            let (_peer, mut conn) = pair();
+            let mut lines = Vec::new();
+            for bytes in reads {
+                conn.rbuf.extend_from_slice(bytes);
+                conn.split_lines(&mut lines);
+                assert_eq!(conn.scanned, conn.rbuf.len());
+            }
+            assert_eq!(lines.iter().map(String::len).collect::<Vec<_>>(), lengths);
+        }
+
+        // A trailing unterminated line that was already scanned is
+        // still delivered whole at EOF.
+        let (peer, mut conn) = pair();
+        let mut lines = Vec::new();
+        conn.rbuf.extend_from_slice(b"tail");
+        conn.split_lines(&mut lines);
+        drop(peer);
+        read_until(&mut conn, &mut lines, |c, _| c.read_closed);
+        assert_eq!(lines, ["tail"]);
+        assert_eq!(conn.scanned, 0);
     }
 
     #[test]
@@ -223,13 +263,7 @@ mod tests {
         conn.queue_frame("pending");
         drop(peer);
         let mut lines = Vec::new();
-        for _ in 0..200 {
-            conn.read_available(&mut lines);
-            if conn.read_closed {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        read_until(&mut conn, &mut lines, |c, _| c.read_closed);
         assert!(conn.read_closed);
         // Undelivered bytes hold the connection open until a flush
         // either delivers them or proves the peer gone.

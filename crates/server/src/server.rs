@@ -58,67 +58,11 @@ use crate::proto::{self, BatchItem, MapPayload, RejectReason, RequestTrace, Serv
 use crate::service;
 
 /// Names of the aggregate counters, stages and histograms the server
-/// reports — the closed `serve.*` counter namespace of telemetry schema
-/// v1.4 (see [`chortle_telemetry::schema::SERVE_COUNTERS`]).
+/// reports: the metric registry's [`chortle_telemetry::registry::serve`]
+/// group, whose counters are the closed `serve.*` namespace of the
+/// telemetry schema.
 pub mod stats {
-    /// Counter: TCP connections accepted (absent in `--stdio` mode).
-    pub const CONNECTIONS: &str = "serve.connections";
-    /// Counter: map requests admitted to the queue (batch entries count
-    /// individually).
-    pub const ACCEPTED: &str = "serve.accepted";
-    /// Counter: map requests completed successfully.
-    pub const COMPLETED: &str = "serve.completed";
-    /// Counter: map requests shed at admission — the whole family
-    /// (global `queue_full` plus per-client `over_quota`), keeping the
-    /// pre-v1.4 meaning of "refused for load" intact.
-    pub const REJECTED_QUEUE_FULL: &str = "serve.rejected_queue_full";
-    /// Counter: map requests whose deadline expired (queued or mid-map).
-    pub const REJECTED_DEADLINE: &str = "serve.rejected_deadline";
-    /// Counter: malformed requests (protocol or BLIF).
-    pub const REJECTED_BAD_REQUEST: &str = "serve.rejected_bad_request";
-    /// Counter: map requests refused during shutdown.
-    pub const REJECTED_SHUTDOWN: &str = "serve.rejected_shutdown";
-    /// Counter: admitted requests completed *after* shutdown began —
-    /// the graceful-drain guarantee, made visible.
-    pub const DRAINED: &str = "serve.drained";
-    /// Counter: warm-cache flush requests served.
-    pub const FLUSHES: &str = "serve.flushes";
-    /// Counter: `stats` introspection requests served.
-    pub const STATS_REQUESTS: &str = "serve.stats_requests";
-    /// Counter: `trace` introspection requests served.
-    pub const TRACE_REQUESTS: &str = "serve.trace_requests";
-    /// Counter: windowed `metrics` introspection requests served (v2).
-    pub const METRICS_REQUESTS: &str = "serve.metrics_requests";
-    /// Counter: `hello` version-negotiation requests served (v2).
-    pub const HELLO_REQUESTS: &str = "serve.hello_requests";
-    /// Counter: `map_batch` frames received (v2).
-    pub const BATCH_FRAMES: &str = "serve.batch_frames";
-    /// Counter: individual requests carried inside `map_batch` frames.
-    pub const BATCH_REQUESTS: &str = "serve.batch_requests";
-    /// Counter: response frames that shared a write with frames already
-    /// buffered for the same connection (the small-frame fix).
-    pub const COALESCED_FRAMES: &str = "serve.coalesced_frames";
-    /// Counter: offers admitted by the fair admission queue.
-    pub const ADMISSION_ADMITTED: &str = "serve.admission.admitted";
-    /// Counter: offers shed because the client's quota was in use.
-    pub const ADMISSION_SHED_OVER_QUOTA: &str = "serve.admission.shed_over_quota";
-    /// Counter: offers shed because the global queue was at capacity.
-    pub const ADMISSION_SHED_QUEUE_FULL: &str = "serve.admission.shed_queue_full";
-    /// Counter: v2 rejections that carried a `retry_after_ms` hint.
-    pub const ADMISSION_HINTED: &str = "serve.admission.hinted";
-    /// Stage: wall time of each worker-executed request (queue wait
-    /// excluded).
-    pub const STAGE_REQUEST: &str = "serve.request";
-    /// Histogram: nanoseconds each admitted job waited in the queue
-    /// before a worker picked it up.
-    pub const HIST_QUEUE_NS: &str = "serve.queue_ns";
-    /// Histogram: nanoseconds each job spent executing on its worker —
-    /// the same values echoed per response as `run_ns`, so clients can
-    /// rebuild this histogram bucket-for-bucket.
-    pub const HIST_RUN_NS: &str = "serve.run_ns";
-    /// Histogram: the admitting client's queued + in-flight depth at
-    /// each successful admission.
-    pub const HIST_CLIENT_DEPTH: &str = "serve.admission.client_depth";
+    pub use chortle_telemetry::registry::serve::*;
 }
 
 /// Server configuration. `#[non_exhaustive]` with a
@@ -450,7 +394,7 @@ fn worker_loop(shared: &Shared) {
             };
             log::event(
                 Level::Debug,
-                "serve.request",
+                stats::STAGE_REQUEST,
                 "request finished",
                 &[
                     ("id", FieldValue::Str(&job.id)),

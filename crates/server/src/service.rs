@@ -19,16 +19,10 @@ use chortle::{
 };
 use chortle_logic_opt::{optimize_with_telemetry, OptimizeOptions};
 use chortle_netlist::{parse_blif, parse_design, write_lut_blif, Network};
+use chortle_telemetry::registry::flow::{STAGE_MAP, STAGE_OPTIMIZE, STAGE_PARSE, STAGE_RENDER};
 use chortle_telemetry::Telemetry;
 
 use crate::proto::{MapRequest, RejectReason};
-
-/// Flow-stage names, matching the offline CLI's so per-request reports
-/// read the same either way.
-const STAGE_PARSE: &str = "flow.parse";
-const STAGE_OPTIMIZE: &str = "flow.optimize";
-const STAGE_MAP: &str = "flow.map";
-const STAGE_RENDER: &str = "flow.render";
 
 /// A successfully mapped request, ready to render into a response.
 pub(crate) struct MapOutcome {

@@ -60,6 +60,7 @@ pub mod hist;
 pub mod json;
 pub mod log;
 pub mod prom;
+pub mod registry;
 pub mod schema;
 pub mod trace;
 
@@ -251,7 +252,7 @@ impl Telemetry {
     }
 
     /// Records one sample into the named histogram (created empty on
-    /// first use). Values are nanoseconds by convention.
+    /// first use), in its [`registry`] unit (nanoseconds if unregistered).
     pub fn record_value(&self, name: &'static str, value: u64) {
         if let Some(inner) = &self.inner {
             let mut hists = inner.histograms.lock().expect("telemetry lock");
@@ -374,8 +375,8 @@ impl Telemetry {
             // data this handle captured (schedule-dependent — scheduler
             // events vary with the worker count).
             let state = tr.state.lock().expect("telemetry lock");
-            counters.insert("trace.events", state.events.len() as u64);
-            counters.insert("trace.dropped", state.dropped);
+            counters.insert(registry::trace::EVENTS, state.events.len() as u64);
+            counters.insert(registry::trace::DROPPED, state.dropped);
         }
         let counters = counters
             .into_iter()
@@ -652,13 +653,7 @@ impl Report {
             return out;
         }
         let _ = writeln!(out, "stages:");
-        let width = self
-            .stages
-            .iter()
-            .map(|s| s.name.len())
-            .max()
-            .unwrap_or(0)
-            .max(5);
+        let width = name_width(self.stages.iter().map(|s| &s.name));
         for s in &self.stages {
             let _ = writeln!(
                 out,
@@ -667,36 +662,35 @@ impl Report {
             );
         }
         let _ = writeln!(out, "counters:");
-        let cwidth = self
-            .counters
-            .iter()
-            .map(|c| c.name.len())
-            .max()
-            .unwrap_or(0)
-            .max(5);
+        let cwidth = name_width(self.counters.iter().map(|c| &c.name));
         for c in &self.counters {
             let _ = writeln!(out, "  {:<cwidth$}  {:>12}", c.name, c.value);
         }
         if !self.histograms.is_empty() {
             let _ = writeln!(out, "histograms:");
-            let hwidth = self
-                .histograms
-                .iter()
-                .map(|h| h.name.len())
-                .max()
-                .unwrap_or(0)
-                .max(5);
+            let hwidth = name_width(self.histograms.iter().map(|h| &h.name));
             for h in &self.histograms {
-                let ms = 1e-6;
+                // Count histograms print plain values; nanosecond (and
+                // unregistered) histograms print milliseconds.
+                let counts = registry::lookup(&h.name)
+                    .is_some_and(|m| m.kind == registry::Kind::Histogram(registry::Unit::Count));
+                let show = |v: f64| {
+                    if counts {
+                        format!("{:>12}", (v * 100.0).round() / 100.0)
+                    } else {
+                        format!("{:>10.4}ms", v * 1e-6)
+                    }
+                };
+                let q = |p| show(h.hist.quantile(p) as f64);
                 let _ = writeln!(
                     out,
-                    "  {:<hwidth$}  n={:<8} mean={:>10.4}ms  p50={:>10.4}ms  p95={:>10.4}ms  p99={:>10.4}ms",
+                    "  {:<hwidth$}  n={:<8} mean={}  p50={}  p95={}  p99={}",
                     h.name,
                     h.hist.count(),
-                    h.hist.mean() * ms,
-                    h.hist.quantile(0.5) as f64 * ms,
-                    h.hist.quantile(0.95) as f64 * ms,
-                    h.hist.quantile(0.99) as f64 * ms,
+                    show(h.hist.mean()),
+                    q(0.5),
+                    q(0.95),
+                    q(0.99),
                 );
             }
         }
@@ -716,6 +710,11 @@ impl Report {
         }
         out
     }
+}
+
+/// The column width of a `to_text` section: its longest name, at least 5.
+fn name_width<'a>(names: impl Iterator<Item = &'a String>) -> usize {
+    names.map(String::len).max().unwrap_or(0).max(5)
 }
 
 #[cfg(test)]
@@ -835,6 +834,36 @@ mod tests {
             Some(SCHEMA)
         );
         schema::validate_report(&json).expect("schema-valid");
+    }
+
+    #[test]
+    fn histograms_render_in_their_registered_unit() {
+        let t = Telemetry::enabled();
+        t.record_value("dp.tree_work", 1_500);
+        t.record_value("serve.run_ns", 1_500_000);
+        t.record_value("x_ns", 900);
+        t.add_counter("serve.completed", 1);
+        let report = t.snapshot();
+        let text = report.to_text();
+        let prom = prom::render_exposition(&report, &[]);
+        let line = |out: &str, prefix: &str| {
+            let found = out.lines().find(|l| l.trim_start().starts_with(prefix));
+            found.expect(prefix).to_owned()
+        };
+        // A count histogram prints plain values and says so in HELP …
+        let work = line(&text, "dp.tree_work");
+        assert!(work.contains("mean=        1500  p50=") && !work.contains("ms"));
+        let help = line(&prom, "# HELP chortle_dp_tree_work");
+        assert!(help.ends_with("Unit: count.") && !help.contains("nanoseconds"));
+        // … a nanosecond histogram keeps milliseconds and names its unit …
+        assert!(line(&text, "serve.run_ns").contains("mean=    1.5000ms"));
+        assert!(line(&prom, "# HELP chortle_serve_run_ns").ends_with("Unit: nanoseconds."));
+        let completed = line(&prom, "# HELP chortle_serve_completed");
+        assert!(completed.ends_with("Map requests completed successfully."));
+        // … and an unregistered one keeps the generic HELP line.
+        assert!(
+            line(&prom, "# HELP chortle_x_ns").ends_with("Chortle histogram x_ns (nanoseconds).")
+        );
     }
 
     #[test]

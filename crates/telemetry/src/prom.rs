@@ -6,8 +6,9 @@
 //! family with `quantile` labels, and each family carries a `# HELP` /
 //! `# TYPE` pair. Metric names are derived mechanically from telemetry
 //! names by [`metric_name`] (`serve.run_ns` → `chortle_serve_run_ns`),
-//! so the closed counter namespaces of [`crate::schema`] map onto a
-//! closed, valid metric set — a property test pins that.
+//! so the closed counter namespaces of [`crate::registry`] map onto a
+//! closed, valid metric set — a property test pins that. HELP lines
+//! and units come from the registry (generic for unregistered names).
 //!
 //! [`validate_exposition`] is the consumer-side check `report-check
 //! --prom` runs against a live `/metrics` scrape: metric and label
@@ -30,6 +31,7 @@
 use std::collections::BTreeMap;
 
 use crate::json;
+use crate::registry::{self, Kind};
 use crate::Report;
 
 /// Prefix of every metric this crate renders.
@@ -87,12 +89,11 @@ pub fn render_exposition(report: &Report, gauges: &[Gauge<'_>]) -> String {
     let mut out = String::with_capacity(1024);
     for c in &report.counters {
         let name = metric_name(&c.name);
-        push_family(
-            &mut out,
-            &name,
-            &format!("Chortle counter {}.", c.name),
-            "counter",
-        );
+        let help = match registry::lookup(&c.name) {
+            Some(m) if m.kind == Kind::Counter => m.help.to_owned(),
+            _ => format!("Chortle counter {}.", c.name),
+        };
+        push_family(&mut out, &name, &help, "counter");
         out.push_str(&name);
         out.push(' ');
         out.push_str(&c.value.to_string());
@@ -100,12 +101,11 @@ pub fn render_exposition(report: &Report, gauges: &[Gauge<'_>]) -> String {
     }
     for h in &report.histograms {
         let name = metric_name(&h.name);
-        push_family(
-            &mut out,
-            &name,
-            &format!("Chortle histogram {} (nanoseconds).", h.name),
-            "summary",
-        );
+        let help = match registry::lookup(&h.name).map(|m| (m.kind, m.help)) {
+            Some((Kind::Histogram(unit), help)) => format!("{help} Unit: {}.", unit.as_str()),
+            _ => format!("Chortle histogram {} (nanoseconds).", h.name),
+        };
+        push_family(&mut out, &name, &help, "summary");
         for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
             out.push_str(&name);
             out.push_str("{quantile=\"");
@@ -397,13 +397,10 @@ mod tests {
         // Property: the schema's closed namespaces map onto valid
         // Prometheus names, each rendering a validating family.
         let t = Telemetry::enabled();
-        let all = crate::schema::SERVE_COUNTERS
+        let all = registry::METRICS
             .iter()
-            .chain(crate::schema::TRACE_COUNTERS)
-            .chain(crate::schema::CACHE_COUNTERS)
-            .chain(crate::schema::DESIGN_COUNTERS)
-            .chain(crate::schema::BLIF_COUNTERS)
-            .chain(crate::schema::LOG_COUNTERS);
+            .filter(|m| m.kind == Kind::Counter && registry::closed_namespace(m.name).is_some())
+            .map(|m| m.name);
         for name in all {
             assert!(
                 valid_metric_name(&metric_name(name)),

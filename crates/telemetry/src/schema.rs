@@ -1,100 +1,15 @@
 //! Structural validation of JSON telemetry reports.
 //!
 //! [`validate_report`] checks a report against the [`crate::SCHEMA`]
-//! layout — key set, kinds, and internal consistency (per-worker arrays
-//! sized to the worker count). [`shape`] renders the *shape* of any JSON
+//! layout — key set, kinds, internal consistency (per-worker arrays
+//! sized to the worker count), and the closed counter namespaces of
+//! [`crate::registry`]. [`shape`] renders the *shape* of any JSON
 //! document (every key path with its kind, values elided), which the
 //! golden-file schema test pins so the report layout cannot drift
 //! silently.
 
 use crate::json::{self, Value};
-
-/// The documented counters of the reserved `serve.` namespace — the
-/// aggregate report the `chortle-serve` daemon emits at shutdown (and on
-/// `stats` requests). Closed since schema v1.2: [`validate_report`]
-/// rejects any other `serve.*` name.
-pub const SERVE_COUNTERS: &[&str] = &[
-    "serve.connections",
-    "serve.accepted",
-    "serve.completed",
-    "serve.rejected_queue_full",
-    "serve.rejected_deadline",
-    "serve.rejected_bad_request",
-    "serve.rejected_shutdown",
-    "serve.drained",
-    "serve.flushes",
-    "serve.stats_requests",
-    "serve.trace_requests",
-    // Schema v1.4: the event-driven serving core (protocol v2).
-    "serve.hello_requests",
-    "serve.batch_frames",
-    "serve.batch_requests",
-    "serve.coalesced_frames",
-    "serve.admission.admitted",
-    "serve.admission.shed_over_quota",
-    "serve.admission.shed_queue_full",
-    "serve.admission.hinted",
-    // Schema v1.7: the live observability plane.
-    "serve.metrics_requests",
-];
-
-/// The documented counters of the reserved `trace.` namespace —
-/// observation echoes a tracing handle adds to its own report. Closed
-/// since schema v1.3: [`validate_report`] rejects any other `trace.*`
-/// name.
-pub const TRACE_COUNTERS: &[&str] = &["trace.events", "trace.dropped"];
-
-/// The documented counters of the reserved `cache.` namespace — the
-/// mapper's DP-result cache statistics. Closed since schema v1.5,
-/// which added the functional (`cache.fn_*`) tier: [`validate_report`]
-/// rejects any other `cache.*` name, so a mistyped or undocumented
-/// cache counter fails validation instead of shipping silently.
-pub const CACHE_COUNTERS: &[&str] = &[
-    "cache.hits",
-    "cache.misses",
-    "cache.shards",
-    "cache.replayed_luts",
-    // Schema v1.5: the NPN-canonical functional tier (CacheMode::Fn).
-    "cache.fn_hits",
-    "cache.fn_misses",
-    "cache.fn_replayed_luts",
-];
-
-/// The documented counters of the reserved `design.` namespace — the
-/// sequential-design mapping pipeline (register-bounded combinational
-/// clouds). Closed since schema v1.6: [`validate_report`] rejects any
-/// other `design.*` counter name (the `design.cloud_work` histogram
-/// lives in the histogram section, not here).
-pub const DESIGN_COUNTERS: &[&str] = &[
-    "design.clouds",
-    "design.latches",
-    "design.passthroughs",
-    "design.cloud_luts",
-];
-
-/// The documented counters of the reserved `blif.` namespace — the
-/// streaming BLIF reader's input statistics. Closed since schema v1.6:
-/// [`validate_report`] rejects any other `blif.*` name.
-pub const BLIF_COUNTERS: &[&str] = &[
-    "blif.logical_lines",
-    "blif.models",
-    "blif.subckts",
-    "blif.latches",
-    "blif.exdc_blocks",
-];
-
-/// The documented counters of the reserved `log.` namespace — volume
-/// echoes the structured logger ([`crate::log`]) mirrors into a
-/// telemetry handle via [`crate::log::set_counter_sink`]. Closed since
-/// schema v1.7: [`validate_report`] rejects any other `log.*` name.
-/// Like `trace.*`, these are observation echoes, exempt from the
-/// scheduling-independence guarantee.
-pub const LOG_COUNTERS: &[&str] = &[
-    "log.events",
-    "log.errors",
-    "log.warnings",
-    "log.ring_evicted",
-];
+use crate::registry::{self, Kind};
 
 /// Validates that `input` is a schema-conformant telemetry report.
 ///
@@ -142,56 +57,21 @@ pub fn validate_report(input: &str) -> Result<(), String> {
         let members = expect_keys(counter, &path, &["name", "value"])?;
         let name = expect_string(&members[0].1, &format!("{path}.name"))?;
         expect_u64(&members[1].1, &format!("{path}.value"))?;
-        // Schema v1.2: `serve.` is a *closed* namespace — the aggregate
-        // report of the `chortle-serve` daemon may only use the
-        // documented counter set, so a typo'd server counter fails
-        // validation instead of shipping silently. v1.3 closes the
-        // `trace.` observation-echo namespace the same way.
-        if name.starts_with("serve.") && !SERVE_COUNTERS.contains(&name) {
-            return Err(format!(
-                "{path}.name {name:?} is not a documented serve.* counter \
-                 (expected one of {SERVE_COUNTERS:?})"
-            ));
-        }
-        if name.starts_with("trace.") && !TRACE_COUNTERS.contains(&name) {
-            return Err(format!(
-                "{path}.name {name:?} is not a documented trace.* counter \
-                 (expected one of {TRACE_COUNTERS:?})"
-            ));
-        }
-        // Schema v1.5 closes the mapper's `cache.` namespace too: the
-        // counter set doubles as the compatibility contract between
-        // the two cache tiers and every report consumer.
-        if name.starts_with("cache.") && !CACHE_COUNTERS.contains(&name) {
-            return Err(format!(
-                "{path}.name {name:?} is not a documented cache.* counter \
-                 (expected one of {CACHE_COUNTERS:?})"
-            ));
-        }
-        // Schema v1.6 closes the sequential-design pipeline's `design.`
-        // namespace and the streaming reader's `blif.` namespace: both
-        // are cross-surface contracts (CLI, daemon, loadgen) and must
-        // not grow undocumented names.
-        if name.starts_with("design.") && !DESIGN_COUNTERS.contains(&name) {
-            return Err(format!(
-                "{path}.name {name:?} is not a documented design.* counter \
-                 (expected one of {DESIGN_COUNTERS:?})"
-            ));
-        }
-        if name.starts_with("blif.") && !BLIF_COUNTERS.contains(&name) {
-            return Err(format!(
-                "{path}.name {name:?} is not a documented blif.* counter \
-                 (expected one of {BLIF_COUNTERS:?})"
-            ));
-        }
-        // Schema v1.7 closes the structured logger's `log.` namespace:
-        // logging volume rides every daemon report, so its counter set
-        // is part of the cross-surface contract too.
-        if name.starts_with("log.") && !LOG_COUNTERS.contains(&name) {
-            return Err(format!(
-                "{path}.name {name:?} is not a documented log.* counter \
-                 (expected one of {LOG_COUNTERS:?})"
-            ));
+        // A counter under a closed namespace must be registered as a
+        // counter, so a typo'd or undocumented name fails validation
+        // instead of shipping silently (see `registry::CLOSED_NAMESPACES`).
+        if let Some(ns) = registry::closed_namespace(name) {
+            if registry::lookup(name).map(|m| m.kind) != Some(Kind::Counter) {
+                let expected: Vec<&str> = registry::METRICS
+                    .iter()
+                    .filter(|m| m.kind == Kind::Counter && m.name.starts_with(ns))
+                    .map(|m| m.name)
+                    .collect();
+                return Err(format!(
+                    "{path}.name {name:?} is not a documented {ns}* counter \
+                     (expected one of {expected:?})"
+                ));
+            }
         }
     }
 
@@ -491,19 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_namespace_is_closed() {
-        // The counters a tracing handle emits about itself validate …
-        let t = Telemetry::traced();
-        drop(t.span("s"));
-        validate_report(&t.snapshot().to_json()).expect("trace echo counters validate");
-        // … while any other trace.* name is rejected.
-        let t = Telemetry::enabled();
-        t.add_counter("trace.evnets", 1);
-        let err = validate_report(&t.snapshot().to_json()).unwrap_err();
-        assert!(err.contains("trace.evnets"), "{err}");
-    }
-
-    #[test]
     fn rejects_mis_sized_worker_arrays() {
         let json = sample_report().replace("\"claimed\":[1,1]", "\"claimed\":[1]");
         let err = validate_report(&json).unwrap_err();
@@ -517,85 +384,86 @@ mod tests {
         assert!(err.contains("value"), "{err}");
     }
 
+    /// A report holding one counter called `name`.
+    fn counter_report(name: &str) -> String {
+        let t = Telemetry::enabled();
+        t.add_counter("placeholder", 1);
+        t.snapshot().to_json().replace("placeholder", name)
+    }
+
+    /// Checks the closed namespace `ns` against the registry: each of its
+    /// registered counters validates, a misspelling of each is rejected
+    /// by name, and its registered stages and histograms are rejected
+    /// when they pose as counters.
+    fn assert_namespace_closed(ns: &str) {
+        assert!(registry::CLOSED_NAMESPACES.contains(&ns), "{ns}");
+        let members: Vec<_> = registry::METRICS
+            .iter()
+            .filter(|m| m.name.starts_with(ns))
+            .collect();
+        assert!(members.iter().any(|m| m.kind == Kind::Counter), "{ns}");
+        for m in members {
+            let valid = validate_report(&counter_report(m.name)).is_ok();
+            assert_eq!(valid, m.kind == Kind::Counter, "{}", m.name);
+            if m.kind == Kind::Counter {
+                let typo = &m.name[..m.name.len() - 1];
+                let err = validate_report(&counter_report(typo)).unwrap_err();
+                assert!(err.contains(&format!("{typo:?}")), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn trace_namespace_is_closed() {
+        assert_namespace_closed("trace.");
+        // The counters a tracing handle emits about itself validate.
+        let t = Telemetry::traced();
+        drop(t.span("s"));
+        validate_report(&t.snapshot().to_json()).expect("trace echo counters validate");
+    }
+
     #[test]
     fn serve_namespace_is_closed() {
-        // Every documented serve.* counter passes …
-        let t = Telemetry::enabled();
-        for name in SERVE_COUNTERS {
-            t.add_counter(name, 1);
-        }
-        validate_report(&t.snapshot().to_json()).expect("documented serve counters validate");
-        // … while an undocumented one (e.g. a typo) is rejected by name.
-        let t = Telemetry::enabled();
-        t.add_counter("serve.rejected_deadlin", 1);
-        let err = validate_report(&t.snapshot().to_json()).unwrap_err();
-        assert!(err.contains("serve.rejected_deadlin"), "{err}");
-        // Other namespaces remain open (mapper counters come and go).
-        let t = Telemetry::enabled();
-        t.add_counter("dp.some_future_counter", 1);
-        validate_report(&t.snapshot().to_json()).expect("non-serve namespaces stay open");
+        assert_namespace_closed("serve.");
     }
 
     #[test]
     fn cache_namespace_is_closed() {
-        // Every documented cache.* counter passes …
-        let t = Telemetry::enabled();
-        for name in CACHE_COUNTERS {
-            t.add_counter(name, 1);
-        }
-        validate_report(&t.snapshot().to_json()).expect("documented cache counters validate");
-        // … while an undocumented one (e.g. a typo) is rejected by name.
-        let t = Telemetry::enabled();
-        t.add_counter("cache.fn_hit", 1);
-        let err = validate_report(&t.snapshot().to_json()).unwrap_err();
-        assert!(err.contains("cache.fn_hit"), "{err}");
-        // pack.* remains open alongside the closed namespaces.
-        let t = Telemetry::enabled();
-        t.add_counter("pack.dropped_inputs", 1);
-        validate_report(&t.snapshot().to_json()).expect("pack namespace stays open");
+        assert_namespace_closed("cache.");
     }
 
     #[test]
     fn design_namespace_is_closed() {
-        // Every documented design.* counter passes, and the
-        // design.cloud_work histogram rides the histogram section.
+        assert_namespace_closed("design.");
+        // The design.cloud_work histogram rides the histogram section.
         let t = Telemetry::enabled();
-        for name in DESIGN_COUNTERS {
-            t.add_counter(name, 1);
-        }
-        t.record_value("design.cloud_work", 3);
-        validate_report(&t.snapshot().to_json()).expect("documented design counters validate");
-        // … while an undocumented one (e.g. a typo) is rejected by name.
-        let t = Telemetry::enabled();
-        t.add_counter("design.cloud", 1);
-        let err = validate_report(&t.snapshot().to_json()).unwrap_err();
-        assert!(err.contains("design.cloud"), "{err}");
+        t.record_value(registry::mapper::HIST_CLOUD_WORK, 3);
+        validate_report(&t.snapshot().to_json()).expect("design histogram validates");
     }
 
     #[test]
     fn blif_namespace_is_closed() {
-        let t = Telemetry::enabled();
-        for name in BLIF_COUNTERS {
-            t.add_counter(name, 1);
-        }
-        validate_report(&t.snapshot().to_json()).expect("documented blif counters validate");
-        let t = Telemetry::enabled();
-        t.add_counter("blif.lines", 1);
-        let err = validate_report(&t.snapshot().to_json()).unwrap_err();
-        assert!(err.contains("blif.lines"), "{err}");
+        assert_namespace_closed("blif.");
     }
 
     #[test]
     fn log_namespace_is_closed() {
-        let t = Telemetry::enabled();
-        for name in LOG_COUNTERS {
-            t.add_counter(name, 1);
+        assert_namespace_closed("log.");
+    }
+
+    #[test]
+    fn open_namespaces_stay_open_and_names_are_unique() {
+        for (i, m) in registry::METRICS.iter().enumerate() {
+            assert!(registry::METRICS[..i].iter().all(|p| p.name != m.name));
+            // Outside the closed namespaces any name validates as a
+            // counter, whatever it is registered as.
+            if registry::closed_namespace(m.name).is_none() {
+                validate_report(&counter_report(m.name)).expect(m.name);
+            }
         }
-        validate_report(&t.snapshot().to_json()).expect("documented log counters validate");
-        let t = Telemetry::enabled();
-        t.add_counter("log.evnets", 1);
-        let err = validate_report(&t.snapshot().to_json()).unwrap_err();
-        assert!(err.contains("log.evnets"), "{err}");
+        // Mapper counters come and go.
+        validate_report(&counter_report("dp.some_future_counter")).expect("dp. is open");
+        validate_report(&counter_report("pack.some_future_counter")).expect("pack. is open");
     }
 
     #[test]

@@ -187,6 +187,10 @@ cargo run -q -p chortle-cli --bin chortle-map -- -k 4 --design --jobs 2 \
   --clouds "$design_tmp/clouds" "$design_tmp/seq.blif" > "$design_tmp/mapped.blif"
 grep -q '^\.latch' "$design_tmp/mapped.blif" \
   || { echo "ci: the mapped design lost its latches" >&2; exit 1; }
+# The real binary's design report: the blif.*, design.*, cache.fn_* and
+# pack.* counters must all pass report-check.
+cargo run -q -p chortle-cli --bin chortle-map -- -k 4 --design --cache fn --pack dc \
+  --report json "$design_tmp/seq.blif" | cargo run -q -p chortle-cli --bin report-check
 # Every cloud the pipeline mapped must be byte-identical to an offline
 # chortle-map run handed that cloud's standalone BLIF.
 cloud_count=0
