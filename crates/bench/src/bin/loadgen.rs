@@ -93,21 +93,31 @@ const OVERLOAD_BURST: usize = 24;
 /// Retry rounds before the overload phase gives up on its stragglers.
 const OVERLOAD_MAX_ROUNDS: usize = 100;
 
-/// One timed phase: client-side request latencies (log-bucketed
-/// nanoseconds, same [`Histogram`] the server reports) and wall time.
+/// One timed phase: client-side latencies (log-bucketed nanoseconds,
+/// same [`Histogram`] the server reports), wall time and the map
+/// requests completed.
 struct Phase {
     latency: Histogram,
     wall_s: f64,
+    /// Map requests completed: one per latency sample, except in the
+    /// batch phase, whose samples time whole frames.
+    requests: usize,
 }
 
 impl Phase {
-    fn requests(&self) -> usize {
-        self.latency.count() as usize
+    /// A phase that took one latency sample per request and started at
+    /// `start`.
+    fn per_request(latency: Histogram, start: Instant) -> Self {
+        Phase {
+            requests: latency.count() as usize,
+            latency,
+            wall_s: start.elapsed().as_secs_f64(),
+        }
     }
 
     #[allow(clippy::cast_precision_loss)]
     fn throughput(&self) -> f64 {
-        self.requests() as f64 / self.wall_s
+        self.requests as f64 / self.wall_s
     }
 
     /// Nearest-rank percentile in milliseconds — the lower bound of the
@@ -208,13 +218,7 @@ fn run_phase(
             run_hist.merge(run);
         }
     }
-    (
-        Phase {
-            latency,
-            wall_s: start.elapsed().as_secs_f64(),
-        },
-        run_hist,
-    )
+    (Phase::per_request(latency, start), run_hist)
 }
 
 /// The batch phase: the whole workload shipped as `map_batch` frames of
@@ -298,11 +302,11 @@ fn run_batch_phase(
             frames += sent_frames;
         }
     }
-    let phase = Phase {
-        latency,
-        wall_s: start.elapsed().as_secs_f64(),
-    };
     assert_eq!(requests_sent, workload.len() * PASSES);
+    let phase = Phase {
+        requests: requests_sent,
+        ..Phase::per_request(latency, start)
+    };
     (phase, frames, run_hist)
 }
 
@@ -362,13 +366,9 @@ fn run_fanout_phase(addr: &str, blif: &str, k: usize, expected: &str) -> (Phase,
             std::thread::sleep(Duration::from_millis(max_wait_ms.clamp(1, 1_000)));
         }
     }
-    let phase = Phase {
-        latency,
-        wall_s: start.elapsed().as_secs_f64(),
-    };
+    let phase = Phase::per_request(latency, start);
     assert_eq!(
-        phase.requests(),
-        FANOUT_CONNECTIONS,
+        phase.requests, FANOUT_CONNECTIONS,
         "zero loss: every connection's request completes"
     );
     (phase, retried, run_hist)
@@ -588,13 +588,7 @@ fn run_design_phase(
             );
         }
     }
-    (
-        Phase {
-            latency,
-            wall_s: start.elapsed().as_secs_f64(),
-        },
-        run_hist,
-    )
+    (Phase::per_request(latency, start), run_hist)
 }
 
 /// Pulls the named counter out of a serialized telemetry report.
@@ -682,7 +676,7 @@ fn main() {
     let (cold, cold_run) = run_phase(&addr, &workload, &expected, clients, true);
     eprintln!(
         "loadgen: cold  {:>4} requests in {:.3}s  ({:.1} req/s, p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms)",
-        cold.requests(),
+        cold.requests,
         cold.wall_s,
         cold.throughput(),
         cold.percentile_ms(50.0),
@@ -692,7 +686,7 @@ fn main() {
     let (warm, warm_run) = run_phase(&addr, &workload, &expected, clients, false);
     eprintln!(
         "loadgen: warm  {:>4} requests in {:.3}s  ({:.1} req/s, p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms)",
-        warm.requests(),
+        warm.requests,
         warm.wall_s,
         warm.throughput(),
         warm.percentile_ms(50.0),
@@ -743,7 +737,7 @@ fn main() {
     let (concurrent, concurrent_run) = run_phase(&addr, &workload, &expected, concurrency, false);
     eprintln!(
         "loadgen: conc  {:>4} requests in {:.3}s  ({:.1} req/s, p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms, {concurrency} clients)",
-        concurrent.requests(),
+        concurrent.requests,
         concurrent.wall_s,
         concurrent.throughput(),
         concurrent.percentile_ms(50.0),
@@ -761,7 +755,7 @@ fn main() {
     let (batch, batch_frames, batch_run) = run_batch_phase(&addr, &workload, &expected);
     eprintln!(
         "loadgen: batch {:>4} requests in {:.3}s  ({:.1} req/s, {batch_frames} frames of <= {BATCH_CHUNK})",
-        batch.requests(),
+        batch.requests,
         batch.wall_s,
         batch.throughput(),
     );
@@ -796,7 +790,7 @@ fn main() {
     let (design, design_run) = run_design_phase(&addr, &designs, &design_expected);
     eprintln!(
         "loadgen: design {:>3} requests in {:.3}s  ({:.1} req/s, {} designs, {design_clouds} clouds, p50 {:.2}ms p95 {:.2}ms)",
-        design.requests(),
+        design.requests,
         design.wall_s,
         design.throughput(),
         designs.len(),
@@ -916,7 +910,7 @@ fn main() {
             json,
             "  \"{name}\": {{ \"requests\": {}, \"wall_s\": {:.6}, \"throughput_rps\": {:.3}, \
              \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \"latency_ns\": ",
-            phase.requests(),
+            phase.requests,
             phase.wall_s,
             phase.throughput(),
             phase.percentile_ms(50.0),

@@ -11,7 +11,7 @@
 //! Every cloud travels through the *same* path the single-model front
 //! end uses: it is serialized to standalone BLIF, re-parsed, optionally
 //! preprocessed (the CLI hooks its `--optimize` pass in here), mapped
-//! with [`map_network`], equivalence-checked, and rendered with
+//! with [`crate::map_network`], equivalence-checked, and rendered with
 //! [`chortle_netlist::write_lut_blif`]. That shared canonical form is
 //! what makes a cloud mapped inside a design byte-identical to the same
 //! cloud mapped as a standalone file — the property the CI smoke checks
@@ -30,7 +30,9 @@ use chortle_netlist::{
 };
 use chortle_telemetry::Telemetry;
 
-use crate::map::{map_network, resolve_jobs, stats, MapError, MapOptions};
+use crate::map::{
+    echo_cache_shards, map_network_unechoed, resolve_jobs, stats, MapError, MapOptions,
+};
 use crate::sched::run_indexed;
 
 /// A per-cloud network transform run between parsing and mapping — the
@@ -233,6 +235,7 @@ pub fn map_design(design: &Design, opts: &DesignOptions) -> Result<MappedDesign,
     let luts: usize = clouds.iter().map(|c| c.luts).sum();
     let depth = clouds.iter().map(|c| c.depth).max().unwrap_or(0);
     telemetry.add_counter(stats::DESIGN_CLOUD_LUTS, luts as u64);
+    echo_cache_shards(&opts.map);
 
     let pairs: Vec<(&Network, &LutCircuit)> =
         clouds.iter().map(|c| (&c.network, &c.circuit)).collect();
@@ -269,7 +272,7 @@ fn map_cloud(
         })?,
         None => network,
     };
-    let mapping = map_network(&network, opts).map_err(|error| DesignError::Map {
+    let mapping = map_network_unechoed(&network, opts).map_err(|error| DesignError::Map {
         cloud: index,
         error,
     })?;
@@ -293,6 +296,7 @@ fn map_cloud(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map_network;
     use chortle_netlist::{read_design, simulate_outputs};
 
     const TWO_CLOUDS: &str = "\

@@ -11,7 +11,7 @@
 
 use chortle_netlist::{Network, NodeOp, Signal};
 
-use crate::map::{map_network, MapError, MapOptions, Mapping};
+use crate::map::{echo_cache_shards, map_network_unechoed, MapError, MapOptions, Mapping};
 
 /// Returns a functionally identical network in which every gate with
 /// fanout greater than one and fanin at most `max_fanin` is replicated
@@ -143,9 +143,10 @@ fn emit_copy(
 /// # Ok::<(), chortle::MapError>(())
 /// ```
 pub fn map_network_best(network: &Network, options: &MapOptions) -> Result<Mapping, MapError> {
-    let plain = map_network(network, options)?;
+    let plain = map_network_unechoed(network, options)?;
     let duplicated_net = duplicate_fanout_gates(&network.simplified(), options.k.max(4));
-    let duplicated = map_network(&duplicated_net, options)?;
+    let duplicated = map_network_unechoed(&duplicated_net, options)?;
+    echo_cache_shards(options);
     if duplicated.report.luts < plain.report.luts {
         Ok(duplicated)
     } else {
@@ -156,6 +157,7 @@ pub fn map_network_best(network: &Network, options: &MapOptions) -> Result<Mappi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map_network;
     use chortle_netlist::{check_equivalence, check_networks};
 
     fn shared_cone() -> Network {

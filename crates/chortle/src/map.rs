@@ -437,6 +437,27 @@ pub struct Mapping {
 /// # Ok::<(), chortle::MapError>(())
 /// ```
 pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, MapError> {
+    let mapping = map_network_unechoed(network, options)?;
+    echo_cache_shards(options);
+    Ok(mapping)
+}
+
+/// Echoes the DP-result store's shard count (`cache.shards`) into the
+/// telemetry sink when caching is on: a configuration echo, reported
+/// once per top-level run however many networks the run maps.
+pub(crate) fn echo_cache_shards(options: &MapOptions) {
+    if options.cache.is_enabled() {
+        let telemetry = &options.telemetry;
+        telemetry.add_counter(stats::CACHE_SHARDS, SHARED_CACHE_SHARDS as u64);
+    }
+}
+
+/// [`map_network`] without the [`echo_cache_shards`] echo, for runs that
+/// map several networks and echo once themselves.
+pub(crate) fn map_network_unechoed(
+    network: &Network,
+    options: &MapOptions,
+) -> Result<Mapping, MapError> {
     if options.cancel.is_cancelled() {
         return Err(MapError::Cancelled);
     }
@@ -609,8 +630,7 @@ pub(crate) struct MappedTree {
 /// sequence, in tree order: a tree is a *hit* when an earlier tree has
 /// the same key. Deliberately not counted at the cache data structure —
 /// which worker wins a racy insert is schedule-dependent, while this
-/// definition is a pure function of the forest. `cache.shards` echoes
-/// the store's configuration.
+/// definition is a pure function of the forest.
 fn report_cache_counters(telemetry: &Telemetry, options: &MapOptions, mapped: &[MappedTree]) {
     if !telemetry.is_enabled() || !options.cache.is_enabled() {
         return;
@@ -673,7 +693,6 @@ fn report_cache_counters(telemetry: &Telemetry, options: &MapOptions, mapped: &[
         telemetry.add_counter(stats::CACHE_FN_MISSES, fn_misses);
         telemetry.add_counter(stats::CACHE_FN_REPLAYED_LUTS, fn_replayed);
     }
-    telemetry.add_counter(stats::CACHE_SHARDS, SHARED_CACHE_SHARDS as u64);
 }
 
 /// Records the deterministic per-tree work histogram

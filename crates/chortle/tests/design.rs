@@ -137,6 +137,23 @@ fn design_mapping_is_bit_identical_across_jobs_and_caches() {
     }
 }
 
+#[test]
+fn cache_shards_is_echoed_once_per_design_run() {
+    // Three clouds, three mapping calls: the store's configuration is
+    // still echoed once, exactly as a single-network run echoes it.
+    for &jobs in &JOBS {
+        for &cache in &CACHES[1..] {
+            let (mapped, report) = map_with(jobs, cache);
+            assert_eq!(mapped.clouds.len(), 3);
+            assert_eq!(
+                counter_value(&report, stats::CACHE_SHARDS),
+                16,
+                "cache.shards at jobs={jobs} cache={cache:?}"
+            );
+        }
+    }
+}
+
 /// Reads one counter out of a serialized telemetry report.
 fn counter_value(report_json: &str, name: &str) -> u64 {
     use chortle_telemetry::json::{self, Value};

@@ -64,7 +64,7 @@ fn traced_flow_emits_registered_names() {
     let t = Telemetry::traced();
     let blif = chortle_netlist::write_blif(&alu(4), "alu");
     run_flow(&blif, &flow_options(&t, CacheMode::Shared, PackMode::Off)).expect("maps");
-    let expect = "flow.verify opt.eliminated dp.tree_work sched.steals trace.events";
+    let expect = "flow.verify opt.eliminated opt.eliminate_visits opt.kernel_divisions dp.tree_work sched.steals trace.events";
     assert_registered(&t.snapshot().to_json(), expect);
 }
 

@@ -5,6 +5,13 @@
 //! single-cube divisors. Both passes repeat greedily while the total
 //! literal count decreases — the objective the paper's "standard MIS II
 //! script" minimizes before technology mapping.
+//!
+//! Kernel extraction is incremental: each node's candidate kernels and
+//! substitution values are computed once and again only when an
+//! extraction rewrites the node, and a per-kernel table keeps the totals
+//! the greedy choice compares. The choice itself (highest total, ties to
+//! the smallest kernel) is unchanged, so the extracted network is too
+//! (see the repository's `DESIGN.md` §8.3).
 
 use std::collections::HashMap;
 
@@ -25,6 +32,10 @@ pub struct ExtractReport {
     pub extracted: usize,
     /// Total SOP literals saved.
     pub literals_saved: usize,
+    /// Weak divisions performed (kernel extraction only): one per
+    /// candidate kernel of every node whose SOP was (re)evaluated, plus
+    /// one per substitution. A deterministic work count.
+    pub kernel_divisions: usize,
 }
 
 /// Literal-count value of substituting divisor `d` into node SOP `f`:
@@ -53,11 +64,102 @@ fn substitute(f: &Sop, d: &Sop, x: usize) -> Sop {
     Sop::from_cubes(cubes)
 }
 
+/// The positive substitution values of one kernel.
+#[derive(Default)]
+struct KernelUses {
+    /// The nodes listing the kernel as a candidate whose substitution
+    /// value is positive, with that value.
+    positive: Vec<(usize, isize)>,
+    /// Sum of the positive values.
+    sum: isize,
+}
+
+/// A node's candidates that pay: kernel ids in the [`KernelTable`], each
+/// with the node's positive substitution value.
+type Candidates = Vec<(usize, isize)>;
+
+/// Every kernel some node has had a positive substitution value for,
+/// stored once, with the positive values of the nodes listing it now.
+#[derive(Default)]
+struct KernelTable {
+    ids: HashMap<Sop, usize>,
+    uses: Vec<KernelUses>,
+}
+
+impl KernelTable {
+    /// Computes node SOP `f`'s candidates — the distinct multi-cube
+    /// kernels among the first [`MAX_KERNELS_PER_NODE`] of [`kernels`],
+    /// for SOPs of 2..=[`MAX_CUBES_FOR_KERNELING`] cubes — and adds those
+    /// with a positive value as node `var`'s.
+    fn add(&mut self, var: usize, f: &Sop, divisions: &mut usize) -> Candidates {
+        if f.num_cubes() < 2 || f.num_cubes() > MAX_CUBES_FOR_KERNELING {
+            return Vec::new();
+        }
+        let mut ks: Vec<Sop> = kernels(f)
+            .into_iter()
+            .take(MAX_KERNELS_PER_NODE)
+            .map(|k| k.kernel)
+            .filter(|k| k.num_cubes() >= 2)
+            .collect();
+        ks.dedup(); // kernels() sorts by kernel, so repeats are adjacent
+        *divisions += ks.len();
+        let mut candidates = Vec::new();
+        for kernel in ks {
+            let Some(v) = substitution_value(f, &kernel).filter(|&v| v > 0) else {
+                continue;
+            };
+            let next = self.uses.len();
+            let id = *self.ids.entry(kernel).or_insert(next);
+            if id == next {
+                self.uses.push(KernelUses::default());
+            }
+            self.uses[id].positive.push((var, v));
+            self.uses[id].sum += v;
+            candidates.push((id, v));
+        }
+        candidates
+    }
+
+    /// Withdraws node `var`'s candidates.
+    fn remove(&mut self, var: usize, candidates: &Candidates) {
+        for &(id, v) in candidates {
+            let uses = &mut self.uses[id];
+            uses.positive.retain(|&(u, _)| u != var);
+            uses.sum -= v;
+        }
+    }
+
+    /// The kernel to extract: the highest `total = sum − lits(kernel)`,
+    /// ties going to the smallest kernel; `None` when no total is
+    /// positive (a kernel without positive uses has `sum = 0`).
+    fn best(&self) -> Option<(isize, &Sop, usize)> {
+        let mut best: Option<(isize, &Sop, usize)> = None;
+        for (kernel, &id) in &self.ids {
+            let total = self.uses[id].sum - kernel.num_literals() as isize;
+            if total <= 0 {
+                continue;
+            }
+            let better = match best {
+                None => true,
+                Some((bt, bk, _)) => total > bt || (total == bt && kernel < bk),
+            };
+            if better {
+                best = Some((total, kernel, id));
+            }
+        }
+        best
+    }
+}
+
 /// One greedy kernel-extraction sweep: finds the kernel with the best total
 /// literal saving across all nodes, extracts it as a new node, substitutes
 /// it everywhere it pays, and repeats until no kernel saves literals.
 ///
-/// Returns the number of extractions and literals saved.
+/// A kernel's total is `sum − lits(kernel)`, where `sum` adds the positive
+/// substitution values of the nodes listing it as a candidate; the highest
+/// total wins, ties going to the smallest kernel.
+///
+/// Returns the number of extractions, literals saved and divisions done.
 ///
 /// # Examples
 ///
@@ -85,56 +187,28 @@ fn substitute(f: &Sop, d: &Sop, x: usize) -> Sop {
 /// ```
 pub fn extract_kernels(net: &mut SopNetwork) -> ExtractReport {
     let mut report = ExtractReport::default();
-    loop {
-        // Candidate kernels across all nodes, deduplicated by SOP value.
-        let mut candidates: HashMap<Sop, Vec<usize>> = HashMap::new();
-        for var in net.node_vars() {
-            let sop = net.node_sop(var).expect("node var").clone();
-            if sop.num_cubes() < 2 || sop.num_cubes() > MAX_CUBES_FOR_KERNELING {
-                continue;
-            }
-            for k in kernels(&sop).into_iter().take(MAX_KERNELS_PER_NODE) {
-                if k.kernel.num_cubes() < 2 {
-                    continue;
-                }
-                candidates.entry(k.kernel).or_default().push(var);
-            }
-        }
-        // Evaluate each candidate's total saving.
-        type BestKernel = (isize, Sop, Vec<(usize, isize)>);
-        let mut best: Option<BestKernel> = None;
-        for (kernel, mut users) in candidates {
-            users.sort_unstable();
-            users.dedup();
-            let mut uses = Vec::new();
-            let mut total: isize = -(kernel.num_literals() as isize);
-            for &var in &users {
-                let f = net.node_sop(var).expect("node");
-                if let Some(v) = substitution_value(f, &kernel) {
-                    if v > 0 {
-                        uses.push((var, v));
-                        total += v;
-                    }
-                }
-            }
-            if uses.is_empty() || total <= 0 {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((bt, bk, _)) => total > *bt || (total == *bt && kernel < *bk),
-            };
-            if better {
-                best = Some((total, kernel, uses));
-            }
-        }
-        let Some((total, kernel, uses)) = best else {
-            break;
-        };
+    let mut table = KernelTable::default();
+    let mut candidates: Vec<Candidates> = vec![Vec::new(); net.len()];
+    for var in net.node_vars() {
+        let f = net.node_sop(var).expect("node var");
+        candidates[var] = table.add(var, f, &mut report.kernel_divisions);
+    }
+    while let Some((total, kernel, id)) = table.best() {
+        let kernel = kernel.clone();
+        let mut rewritten: Vec<usize> = table.uses[id].positive.iter().map(|&(v, _)| v).collect();
+        rewritten.sort_unstable();
         let x = net.add_node(kernel.clone());
-        for (var, _) in uses {
-            let f = net.node_sop(var).expect("node").clone();
-            net.set_node_sop(var, substitute(&f, &kernel, x));
+        candidates.push(Vec::new());
+        rewritten.push(x);
+        for var in rewritten {
+            table.remove(var, &candidates[var]);
+            if var != x {
+                let f = net.node_sop(var).expect("node");
+                report.kernel_divisions += 1;
+                net.set_node_sop(var, substitute(f, &kernel, x));
+            }
+            let f = net.node_sop(var).expect("node");
+            candidates[var] = table.add(var, f, &mut report.kernel_divisions);
         }
         report.extracted += 1;
         report.literals_saved += total as usize;

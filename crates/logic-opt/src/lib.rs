@@ -51,7 +51,7 @@ pub use espresso::{covers_cube, heuristic_minimize};
 pub use extract::{extract_cubes, extract_kernels, ExtractReport};
 pub use factor::{factor, Factored};
 pub use kernels::{is_level0_kernel, kernels, level0_kernels, Kernel};
-pub use network::SopNetwork;
+pub use network::{EliminateReport, SopNetwork};
 pub use script::{
     optimize, optimize_sop_network, optimize_sop_network_with_telemetry, optimize_with,
     optimize_with_telemetry, stats, OptimizeOptions, OptimizeReport,

@@ -5,6 +5,13 @@
 //! variable `v` is item `v` (input or node). Optimization passes rewrite
 //! node SOPs in place; [`SopNetwork::to_network`] factors every node and
 //! emits the AND/OR [`Network`] consumed by technology mapping.
+//!
+//! [`SopNetwork::eliminate`] runs in time linear in the consumer cubes it
+//! touches: a consumer index (node → nodes whose SOP may hold its
+//! positive literal) drives both the value sum and the rewrite, while the
+//! sweep order, the per-sweep use-count snapshot and the value formula
+//! are those of the plain all-nodes scan, so the result is the same
+//! network (see the repository's `DESIGN.md` §8.3).
 
 use std::collections::HashMap;
 
@@ -21,6 +28,16 @@ enum Item {
     Input(String),
     /// An internal node defined by an SOP over the global space.
     Node(Sop),
+}
+
+/// Outcome of [`SopNetwork::eliminate`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EliminateReport {
+    /// Nodes eliminated (inlined into every consumer, then emptied).
+    pub eliminated: usize,
+    /// Consumer cubes examined: every cube of every consumer whose value
+    /// was summed or which was rewritten. A deterministic work count.
+    pub visits: usize,
 }
 
 /// A multi-level network of SOP nodes over a shared variable space.
@@ -235,84 +252,101 @@ impl SopNetwork {
     /// inverted uses or output drivers keep their definition (but positive
     /// uses may still be substituted away when the node then becomes dead).
     ///
-    /// Returns the number of nodes eliminated.
-    pub fn eliminate(&mut self, threshold: isize) -> usize {
-        let mut eliminated = 0;
+    /// Sweeps visit the nodes in ascending index order until a sweep
+    /// eliminates nothing; each sweep judges phases and use counts from a
+    /// snapshot taken at its start, and literal values from the current
+    /// SOPs.
+    pub fn eliminate(&mut self, threshold: isize) -> EliminateReport {
+        let mut report = EliminateReport::default();
+        let mut is_output = vec![false; self.items.len()];
+        for (_, l) in &self.outputs {
+            is_output[l.var()] = true;
+        }
+        // consumers[v] holds every node whose SOP contains +v, and possibly
+        // nodes that no longer do: entries are checked when read.
+        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); self.items.len()];
+        for (i, item) in self.items.iter().enumerate() {
+            if let Item::Node(s) = item {
+                index_consumer(&mut consumers, i, s);
+            }
+        }
         // Repeat until a fixed point: inlining can enable more inlining.
         loop {
             let mut progress = false;
             let counts = self.use_counts();
-            #[allow(clippy::needless_range_loop)] // items are mutated inside
             for var in 0..self.items.len() {
-                let sop = match &self.items[var] {
-                    Item::Node(s) => s.clone(),
-                    Item::Input(_) => continue,
+                let Item::Node(sop) = &self.items[var] else {
+                    continue;
                 };
                 let (pos, neg) = counts[var];
                 // Inline only pure positive-phase, non-output nodes whose
                 // SOP would not blow up the consumers.
-                if neg > 0 || pos == 0 {
+                if neg > 0 || pos == 0 || is_output[var] {
                     continue;
                 }
-                if self.outputs.iter().any(|(_, l)| l.var() == var) {
+                // Exact literal delta of distributing the node's SOP into
+                // every consuming cube: a cube of length L whose literal x
+                // is replaced by an m-cube SOP with λ literals becomes m
+                // cubes totalling m(L-1) + λ literals; the node's own λ
+                // literals disappear. Constants always inline.
+                let x = Literal::positive(var);
+                let m = sop.num_cubes() as isize;
+                let lam = sop.num_literals() as isize;
+                let mut value = -lam;
+                let mut users = std::mem::take(&mut consumers[var]);
+                users.sort_unstable();
+                users.dedup();
+                users.retain(|&i| {
+                    let Item::Node(s) = &self.items[i] else {
+                        return false;
+                    };
+                    report.visits += s.num_cubes();
+                    let mut holds = false;
+                    for c in s.cubes().iter().filter(|c| c.has(x)) {
+                        let len = c.len() as isize;
+                        value += m * (len - 1) + lam - len;
+                        holds = true;
+                    }
+                    holds
+                });
+                if value > threshold && !(sop.is_zero() || sop.is_one()) {
+                    consumers[var] = users;
                     continue;
                 }
-                if sop.is_zero() || sop.is_one() {
-                    // Constants always inline (handled below uniformly).
-                } else {
-                    // Exact literal delta of distributing the node's SOP
-                    // into every consuming cube: a cube of length L whose
-                    // literal x is replaced by an m-cube SOP with λ
-                    // literals becomes m cubes totalling m(L-1) + λ
-                    // literals; the node's own λ literals disappear.
-                    let m = sop.num_cubes() as isize;
-                    let lam = sop.num_literals() as isize;
-                    let mut value = -lam;
-                    let x = Literal::positive(var);
-                    for item in &self.items {
-                        if let Item::Node(s) = item {
-                            for c in s.cubes() {
-                                if c.has(x) {
-                                    let len = c.len() as isize;
-                                    value += m * (len - 1) + lam - len;
-                                }
-                            }
-                        }
-                    }
-                    let _ = pos;
-                    if value > threshold {
-                        continue;
-                    }
-                }
-                if self.inline_node(var, &sop) {
-                    eliminated += 1;
-                    progress = true;
-                }
+                let sop = sop.clone();
+                self.inline_node(var, &sop, &users, &mut consumers, &mut report.visits);
+                report.eliminated += 1;
+                progress = true;
             }
             if !progress {
                 break;
             }
         }
-        eliminated
+        report
     }
 
-    /// Substitutes node `var`'s SOP into every positive use. Returns `true`
-    /// if all uses were removed (the node is then dead and emptied).
-    fn inline_node(&mut self, var: usize, sop: &Sop) -> bool {
+    /// Substitutes node `var`'s SOP into the positive uses held by `users`
+    /// and empties the node, which is then dead. Rewritten consumers are
+    /// indexed under the support they gain.
+    fn inline_node(
+        &mut self,
+        var: usize,
+        sop: &Sop,
+        users: &[usize],
+        consumers: &mut [Vec<usize>],
+        visits: &mut usize,
+    ) {
         let lit = Literal::positive(var);
-        let mut all_inlined = true;
-        for i in 0..self.items.len() {
-            if i == var {
+        let lit_cube = Cube::from_literals([lit]).expect("lit cube");
+        for &i in users.iter().filter(|&&i| i != var) {
+            let Item::Node(consumer) = &self.items[i] else {
                 continue;
-            }
-            let consumer = match &self.items[i] {
-                Item::Node(s) if s.literal_counts().contains_key(&lit) => s.clone(),
-                _ => continue,
             };
+            *visits += consumer.num_cubes();
             let mut new_cubes: Vec<Cube> = Vec::new();
             for c in consumer.cubes() {
                 if c.has(lit) {
-                    let rest = c.without(&Cube::from_literals([lit]).expect("lit cube"));
+                    let rest = c.without(&lit_cube);
                     for d in sop.cubes() {
                         if let Some(p) = rest.product(d) {
                             new_cubes.push(p);
@@ -327,15 +361,9 @@ impl SopNetwork {
             let mut new_sop = Sop::from_cubes(new_cubes);
             new_sop.minimize();
             self.items[i] = Item::Node(new_sop);
+            index_consumer(consumers, i, sop);
         }
-        // Outputs referencing the node keep it alive.
-        if self.outputs.iter().any(|(_, l)| l.var() == var) {
-            all_inlined = false;
-        }
-        if all_inlined {
-            self.items[var] = Item::Node(Sop::zero());
-        }
-        all_inlined
+        self.items[var] = Item::Node(Sop::zero());
     }
 
     /// Evaluates every output on an input assignment (bit `i` of `bits` is
@@ -485,6 +513,16 @@ impl SopNetwork {
     }
 }
 
+/// Records node `i` as a consumer of every positive literal of `sop`.
+fn index_consumer(consumers: &mut [Vec<usize>], i: usize, sop: &Sop) {
+    for l in sop.cubes().iter().flat_map(Cube::literals) {
+        let list = &mut consumers[l.var()];
+        if !l.is_inverted() && list.last() != Some(&i) {
+            list.push(i);
+        }
+    }
+}
+
 /// Emits gates for a factored expression; returns the polarized signal of
 /// its value.
 fn emit_factored(tree: &Factored, signal_of: &HashMap<usize, Signal>, net: &mut Network) -> Signal {
@@ -569,7 +607,7 @@ mod tests {
         n.add_output("z", Literal::positive(z));
 
         let before: Vec<bool> = (0..8).map(|bits| n.eval_outputs(bits)[0]).collect();
-        let removed = n.eliminate(0);
+        let removed = n.eliminate(0).eliminated;
         assert_eq!(removed, 1);
         let after: Vec<bool> = (0..8).map(|bits| n.eval_outputs(bits)[0]).collect();
         assert_eq!(before, after);
@@ -588,7 +626,7 @@ mod tests {
         let t = n.add_node(sop(&[&[(a, false), (b, false)]]));
         let z = n.add_node(sop(&[&[(t, true)]])); // z = !t — not inlinable
         n.add_output("z", Literal::positive(z));
-        assert_eq!(n.eliminate(0), 0);
+        assert_eq!(n.eliminate(0).eliminated, 0);
         assert!(n.node_sop(t).is_some());
     }
 

@@ -152,10 +152,11 @@ pub fn optimize_sop_network_with_telemetry(
         literals_before: sop_net.literal_count(),
         ..OptimizeReport::default()
     };
-    {
+    let eliminate = {
         let _s = telemetry.span(stats::STAGE_ELIMINATE);
-        report.eliminated = sop_net.eliminate(options.eliminate_threshold);
-    }
+        sop_net.eliminate(options.eliminate_threshold)
+    };
+    report.eliminated = eliminate.eliminated;
     {
         let _s = telemetry.span(stats::STAGE_MINIMIZE);
         sop_net.minimize_nodes();
@@ -181,9 +182,12 @@ pub fn optimize_sop_network_with_telemetry(
             }
         }
     }
+    let mut kernel_divisions = 0;
     if options.kernel_extraction {
         let _s = telemetry.span(stats::STAGE_KERNELS);
-        report.extracted += extract_kernels(sop_net).extracted;
+        let kernels = extract_kernels(sop_net);
+        report.extracted += kernels.extracted;
+        kernel_divisions = kernels.kernel_divisions;
     }
     if options.cube_extraction {
         let _s = telemetry.span(stats::STAGE_CUBES);
@@ -197,6 +201,8 @@ pub fn optimize_sop_network_with_telemetry(
     };
     telemetry.add_counter(stats::ELIMINATED, report.eliminated as u64);
     telemetry.add_counter(stats::EXTRACTED, report.extracted as u64);
+    telemetry.add_counter(stats::ELIMINATE_VISITS, eliminate.visits as u64);
+    telemetry.add_counter(stats::KERNEL_DIVISIONS, kernel_divisions as u64);
     telemetry.add_counter(
         stats::LITERALS_SAVED,
         report.literals_before.saturating_sub(report.literals_after) as u64,

@@ -1,10 +1,13 @@
 //! Public-API surface tests: accessors, displays and small behaviours not
 //! exercised by the algorithmic suites.
 
+use chortle_circuits::alu;
 use chortle_logic_opt::{
-    factor, kernels, optimize_with, Cube, Factored, Literal, OptimizeOptions, Sop, SopNetwork,
+    factor, kernels, optimize_with, optimize_with_telemetry, stats, Cube, Factored, Literal,
+    OptimizeOptions, Sop, SopNetwork,
 };
 use chortle_netlist::{Network, NodeOp};
+use chortle_telemetry::Telemetry;
 
 #[test]
 fn sop_network_accessors() {
@@ -122,13 +125,41 @@ fn eliminate_threshold_controls_growth() {
 
     let mut strict = sn.clone();
     assert_eq!(
-        strict.eliminate(0),
+        strict.eliminate(0).eliminated,
         0,
         "growth must be refused at threshold 0"
     );
     let mut loose = sn.clone();
-    assert_eq!(loose.eliminate(100), 1, "generous threshold inlines");
+    assert_eq!(
+        loose.eliminate(100).eliminated,
+        1,
+        "generous threshold inlines"
+    );
     for bits in 0..16u64 {
         assert_eq!(sn.eval_outputs(bits), loose.eval_outputs(bits));
+    }
+}
+
+#[test]
+fn optimize_work_counters_grow_linearly() {
+    // Deterministic work counts, not timings: doubling the ALU width may
+    // at most about double the work of eliminate and kernel extraction.
+    let work = |bits: usize| {
+        let t = Telemetry::enabled();
+        optimize_with_telemetry(&alu(bits), &OptimizeOptions::default(), &t).expect("optimizes");
+        let report = t.snapshot();
+        [stats::ELIMINATE_VISITS, stats::KERNEL_DIVISIONS].map(|name| {
+            let n = report
+                .counter(name)
+                .unwrap_or_else(|| panic!("{name} missing"));
+            (name, n)
+        })
+    };
+    for ((name, at64), (_, at128)) in work(64).into_iter().zip(work(128)) {
+        assert!(at64 > 0, "{name} counted no work");
+        assert!(
+            2 * at128 <= 5 * at64,
+            "{name} grew superlinearly: {at64} at alu64, {at128} at alu128"
+        );
     }
 }

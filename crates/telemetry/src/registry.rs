@@ -124,7 +124,7 @@ registry! {
         MAP_TREES = "map.trees", COUNTER, "Fanout-free trees in the mapped forest.";
         CACHE_HITS = "cache.hits", COUNTER, "Trees whose DP solution replays a cache key seen earlier in tree order. Derived from the forest, not from lock traffic, so identical for every jobs value. Emitted only when caching is on (CacheMode::Off emits no cache.* counters).";
         CACHE_MISSES = "cache.misses", COUNTER, "Distinct cache keys in the forest: the trees that pay for a full subset-DP run. cache.hits + cache.misses == map.trees outside CacheMode::Fn.";
-        CACHE_SHARDS = "cache.shards", COUNTER, "Shards of the DP-result cache: a configuration echo, 16 per mapping call whenever caching is on (every caching mode uses the one sharded store), so identical for every jobs value; a design run adds one echo per cloud.";
+        CACHE_SHARDS = "cache.shards", COUNTER, "Shards of the DP-result cache: a configuration echo, 16 once per top-level run (map_network, map_network_best or map_design, however many networks it maps) whenever caching is on (every caching mode uses the one sharded store), so identical for every jobs value.";
         CACHE_REPLAYED_LUTS = "cache.replayed_luts", COUNTER, "LUTs emitted from replayed (cache-hit) solutions.";
         CACHE_FN_HITS = "cache.fn_hits", COUNTER, "Trees served by the functional tier: a structural miss whose (NPN class, blind skeleton, depths) key was seen earlier in tree order. Derived like cache.hits; emitted only under CacheMode::Fn, where cache.hits + cache.fn_hits + cache.misses == map.trees.";
         CACHE_FN_MISSES = "cache.fn_misses", COUNTER, "Functional-tier-eligible trees (at most 6 leaves) that missed both tiers and paid for a full solve; never more than cache.misses. Emitted only under CacheMode::Fn.";
@@ -159,6 +159,8 @@ registry! {
         ELIMINATED = "opt.eliminated", COUNTER, "Nodes eliminated by inlining.";
         EXTRACTED = "opt.extracted", COUNTER, "Kernels plus cubes extracted as new nodes.";
         LITERALS_SAVED = "opt.literals_saved", COUNTER, "SOP literals removed by the whole script.";
+        ELIMINATE_VISITS = "opt.eliminate_visits", COUNTER, "Consumer cubes examined by eliminate (value sums and rewrites): deterministic work that grows linearly with the network.";
+        KERNEL_DIVISIONS = "opt.kernel_divisions", COUNTER, "Weak divisions done by kernel extraction (candidate values and substitutions): deterministic work that grows linearly with the network.";
     }
 
     /// The flow-level stages (`chortle_cli::stats`), which the daemon's
